@@ -304,13 +304,21 @@ impl Graph {
     /// Each neighbor appears exactly once even if both `u → v` and `v → u`
     /// exist.
     pub fn comm_neighbors(&self, v: NodeId) -> Vec<NodeId> {
-        let mut ns: Vec<NodeId> = self.out_adj[v].iter().map(|a| a.to).collect();
+        let mut ns = Vec::with_capacity(self.out_adj[v].len());
+        self.comm_neighbors_into(v, &mut ns);
+        ns
+    }
+
+    /// [`Graph::comm_neighbors`] into a reused buffer, replacing its
+    /// contents.
+    fn comm_neighbors_into(&self, v: NodeId, ns: &mut Vec<NodeId>) {
+        ns.clear();
+        ns.extend(self.out_adj[v].iter().map(|a| a.to));
         if self.is_directed() {
             ns.extend(self.in_adj[v].iter().map(|a| a.to));
             ns.sort_unstable();
             ns.dedup();
         }
-        ns
     }
 
     /// The graph with every directed edge reversed. For undirected graphs
@@ -343,30 +351,40 @@ impl Graph {
         if self.n == 0 {
             return Some(0);
         }
+        // The communication topology as a CSR: the neighbours of `v` are
+        // `nbrs[offsets[v]..offsets[v + 1]]`. Built once, read by n passes.
+        let mut offsets = Vec::with_capacity(self.n + 1);
+        let mut nbrs = Vec::with_capacity(2 * self.m());
+        let mut ns = Vec::new();
+        offsets.push(0);
+        for v in 0..self.n {
+            self.comm_neighbors_into(v, &mut ns);
+            nbrs.extend_from_slice(&ns);
+            offsets.push(nbrs.len());
+        }
         let mut diameter = 0usize;
         let mut dist = vec![usize::MAX; self.n];
-        let mut queue = std::collections::VecDeque::new();
+        let mut queue = Vec::with_capacity(self.n);
         for src in 0..self.n {
-            dist.iter_mut().for_each(|d| *d = usize::MAX);
+            dist.fill(usize::MAX);
             dist[src] = 0;
             queue.clear();
-            queue.push_back(src);
-            let mut seen = 1usize;
-            let mut ecc = 0usize;
-            while let Some(u) = queue.pop_front() {
-                ecc = ecc.max(dist[u]);
-                for w in self.comm_neighbors(u) {
+            queue.push(src);
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
+                for &w in &nbrs[offsets[u]..offsets[u + 1]] {
                     if dist[w] == usize::MAX {
                         dist[w] = dist[u] + 1;
-                        seen += 1;
-                        queue.push_back(w);
+                        queue.push(w);
                     }
                 }
             }
-            if seen < self.n {
+            // Every node is enqueued once, in order of distance.
+            if queue.len() < self.n {
                 return None;
             }
-            diameter = diameter.max(ecc);
+            diameter = diameter.max(dist[queue[self.n - 1]]);
         }
         Some(diameter)
     }

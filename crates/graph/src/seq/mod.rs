@@ -7,7 +7,9 @@
 //! The oracles favour obvious correctness over speed: the undirected
 //! weighted MWC oracle is the per-edge-deletion `O(m · Dijkstra)` method,
 //! whose correctness is unconditional, rather than a cleverer formula with
-//! edge cases.
+//! edge cases. Their only speed-ups are buffer reuse and strict
+//! bound pruning, and a property test pins them, witnesses included, to
+//! the unpruned loops.
 
 mod mwc;
 mod paths;

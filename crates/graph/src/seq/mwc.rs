@@ -1,7 +1,7 @@
 //! Exact sequential minimum-weight-cycle oracles.
 //!
-//! - [`mwc_directed_exact`]: `n` Dijkstra runs; for every edge `(u, v)` the
-//!   cheapest cycle through that edge is `d(v, u) + w(u, v)`.
+//! - [`mwc_directed_exact`]: one Dijkstra per source `v`; for every edge
+//!   `(u, v)` the cheapest cycle through that edge is `d(v, u) + w(u, v)`.
 //! - [`mwc_undirected_exact`]: per-edge deletion; the cheapest cycle through
 //!   edge `e = (x, y)` is `w(e) + d_{G−e}(x, y)`. Unconditionally correct.
 //! - [`girth_exact`]: all-source BFS; for a source on a shortest cycle the
@@ -16,15 +16,44 @@
 //!
 //! The per-source / per-edge outer loops are embarrassingly parallel and
 //! dominate bench wall-clock, so they run through
-//! [`mwc_par::ordered_map`] (worker count from `MWC_JOBS` / `--jobs`,
-//! default 1). The returned cycle is **identical for every worker
-//! count**: each oracle updates its running best only on *strict*
+//! [`mwc_par::ordered_map_jobs`] (worker count from `MWC_JOBS` / `--jobs`,
+//! default 1), one contiguous chunk of items per task, each chunk with its
+//! own reused search buffers. The returned cycle is **identical for every
+//! worker count**: each oracle updates its running best only on *strict*
 //! improvement, so the sequential winner is the first item (in iteration
 //! order) attaining the global minimum — and merging per-item results in
 //! input order with the same strict rule reproduces exactly that item.
+//!
+//! # Pruning
+//!
+//! All three oracles share the weight of the best cycle found so far
+//! through an [`AtomicU64`] bound, and stop a search or drop an item once
+//! it provably cannot reach the bound: a directed Dijkstra stops past the
+//! bound, an undirected one at its target or past the bound, and a girth
+//! LCA walk once its cycle must be longer than the bound (or than the
+//! source's best, which a candidate has to beat strictly). The answer,
+//! witness included, is the one the full searches would give, because:
+//!
+//! - **The bound check is strict.** A search stops, or an item is dropped,
+//!   only when everything it could still find weighs *more* than a cycle
+//!   already found. Items that could tie the final minimum always run, so
+//!   the first item attaining it, which wins the merge, is unchanged. The
+//!   bound only shrinks, so a stale read merely prunes less.
+//! - **Candidates come from settled nodes only.** A Dijkstra node is used
+//!   as a cycle candidate only once it has been popped, when its distance
+//!   is final. A node left unpopped when a search stops is at distance
+//!   greater than the bound, so no cycle through it can tie the minimum.
+//! - **A node's parent chain is final once it is popped.** Pops come in
+//!   `(distance, node id)` order and a later pop can never relax a popped
+//!   node, so a truncated search leaves every popped node with exactly the
+//!   distance and shortest-path tree path of the full search, and the
+//!   witness read off that path is the same.
 
 use crate::graph::{Graph, NodeId, Weight};
-use crate::seq::paths::{bfs, dijkstra, dijkstra_skipping, extract_path, Direction, HOP_INF, INF};
+use crate::seq::paths::{
+    bfs_into, dijkstra_into, extract_path, BfsBuf, DijkstraBuf, Direction, HopDistTree, HOP_INF,
+    INF,
+};
 use crate::witness::CycleWitness;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,6 +69,30 @@ fn first_min(results: impl IntoIterator<Item = Option<Mwc>>) -> Option<Mwc> {
         })
 }
 
+/// [`first_min`] of `item(buf, i)` over `i ∈ 0..n`, on `jobs` workers.
+/// Items run in contiguous chunks, each chunk reusing one set of search
+/// buffers `B`; a few chunks per worker keep the load balanced when
+/// pruning makes item costs uneven.
+fn min_over_items<B: Default>(
+    n: usize,
+    jobs: usize,
+    item: impl Fn(&mut B, usize) -> Option<Mwc> + Sync,
+) -> Option<Mwc> {
+    let chunk = n.div_ceil(4 * jobs).max(1);
+    let starts = (0..n).step_by(chunk).collect();
+    first_min(mwc_par::ordered_map_jobs(starts, jobs, |lo| {
+        let mut buf = B::default();
+        first_min((lo..n.min(lo + chunk)).map(|i| item(&mut buf, i)))
+    }))
+}
+
+/// Lowers `bound` to `weight` and reports whether a cycle *strictly*
+/// lighter than `weight` was already known, i.e. whether the candidate
+/// cannot win.
+fn beaten(bound: &AtomicU64, weight: Weight) -> bool {
+    bound.fetch_min(weight, Ordering::Relaxed) < weight
+}
+
 /// A minimum weight cycle: its weight and a witness vertex sequence.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Mwc {
@@ -53,6 +106,8 @@ pub struct Mwc {
 ///
 /// Runs Dijkstra from every node (`O(n · (m + n log n))`). A cycle through
 /// edge `(u, v)` of minimal weight is a shortest `v → u` path plus the edge.
+/// Each search stops once it pops a distance above the best cycle found so
+/// far.
 ///
 /// # Examples
 ///
@@ -69,31 +124,51 @@ pub struct Mwc {
 /// # }
 /// ```
 pub fn mwc_directed_exact(g: &Graph) -> Option<Mwc> {
+    directed_exact_jobs(g, mwc_par::jobs())
+}
+
+fn directed_exact_jobs(g: &Graph, jobs: usize) -> Option<Mwc> {
     assert!(
         g.is_directed(),
         "mwc_directed_exact requires a directed graph"
     );
-    let per_source = mwc_par::ordered_map((0..g.n()).collect(), |v| {
-        let t = dijkstra(g, v, Direction::Forward);
-        let mut best: Option<Mwc> = None;
+    let bound = AtomicU64::new(u64::MAX);
+    let best = min_over_items(g.n(), jobs, |buf: &mut DijkstraBuf, v| {
+        dijkstra_into(g, v, Direction::Forward, usize::MAX, buf, |d, u| {
+            if d > bound.load(Ordering::Relaxed) {
+                return false;
+            }
+            if let Some(a) = g.out_adj(u).iter().find(|a| a.to == v) {
+                bound.fetch_min(d + a.weight, Ordering::Relaxed);
+            }
+            true
+        });
+        // Every node at distance ≤ the bound was popped before the search
+        // stopped, so these candidates are exactly the settled ones that
+        // could still win.
+        let settled = bound.load(Ordering::Relaxed);
+        let t = &buf.tree;
+        let mut best: Option<(Weight, NodeId)> = None;
         for a in g.in_adj(v) {
             let u = a.to;
-            if t.dist[u] == INF {
+            if t.dist[u] == INF || t.dist[u] > settled {
                 continue;
             }
             let cand = t.dist[u] + a.weight;
-            if best.as_ref().is_none_or(|b| cand < b.weight) {
-                let path = extract_path(&t.parent, v, u)
-                    .expect("u is reachable so the parent chain exists");
-                best = Some(Mwc {
-                    weight: cand,
-                    witness: CycleWitness::new(path),
-                });
+            if best.is_none_or(|(b, _)| cand < b) {
+                best = Some((cand, u));
             }
         }
-        best
+        let (weight, u) = best?;
+        if beaten(&bound, weight) {
+            return None;
+        }
+        let path = extract_path(&t.parent, v, u).expect("u is settled so the parent chain exists");
+        Some(Mwc {
+            weight,
+            witness: CycleWitness::new(path),
+        })
     });
-    let best = first_min(per_source);
     debug_assert!(best
         .as_ref()
         .is_none_or(|b| b.witness.validate(g) == Ok(b.weight)));
@@ -103,41 +178,47 @@ pub fn mwc_directed_exact(g: &Graph) -> Option<Mwc> {
 /// Exact MWC of an undirected graph, or `None` if the graph is a forest.
 ///
 /// For every edge `e = (x, y)` computes `w(e) + d_{G−e}(x, y)` with a
-/// Dijkstra that skips `e`; the minimum over edges is the MWC. Edges whose
-/// weight already exceeds the best candidate are pruned.
+/// point-to-point Dijkstra that skips `e`; the minimum over edges is the
+/// MWC. A search stops once `y` is popped, or once the popped distance plus
+/// `w(e)` exceeds the best candidate so far.
 pub fn mwc_undirected_exact(g: &Graph) -> Option<Mwc> {
+    undirected_exact_jobs(g, mwc_par::jobs())
+}
+
+fn undirected_exact_jobs(g: &Graph, jobs: usize) -> Option<Mwc> {
     assert!(
         !g.is_directed(),
         "mwc_undirected_exact requires an undirected graph"
     );
-    // Shared upper bound for pruning across workers. The skip must be
-    // *strict* (`>`), not the sequential loop's `>=`: every candidate
-    // satisfies `cand ≥ e.weight`, so `e.weight > bound ≥ final MWC`
-    // proves the edge cannot win — whereas `e.weight == bound` could
-    // still tie via a zero-weight path, and pruning it would change
-    // which edge index wins the tie. The bound only shrinks, so a stale
-    // read merely prunes less; the winning candidate is never skipped.
+    // Every candidate through `e` weighs at least `w(e)` plus the distance
+    // popped so far; `e.weight == bound` could still tie via a zero-weight
+    // path, so only a strictly heavier lower bound prunes.
     let bound = AtomicU64::new(u64::MAX);
-    let per_edge = mwc_par::ordered_map((0..g.edges().len()).collect(), |eid| {
+    let best = min_over_items(g.m(), jobs, |buf: &mut DijkstraBuf, eid| {
         let e = &g.edges()[eid];
         if e.weight > bound.load(Ordering::Relaxed) {
             return None;
         }
-        let t = dijkstra_skipping(g, e.u, Direction::Forward, eid);
-        if t.dist[e.v] == INF {
+        let mut reached = false;
+        dijkstra_into(g, e.u, Direction::Forward, eid, buf, |d, u| {
+            reached = u == e.v;
+            !reached && d.saturating_add(e.weight) <= bound.load(Ordering::Relaxed)
+        });
+        if !reached {
             return None;
         }
-        let cand = e.weight + t.dist[e.v];
-        bound.fetch_min(cand, Ordering::Relaxed);
-        let path =
-            extract_path(&t.parent, e.u, e.v).expect("e.v is reachable so the parent chain exists");
+        let weight = e.weight + buf.tree.dist[e.v];
+        if beaten(&bound, weight) {
+            return None;
+        }
+        let path = extract_path(&buf.tree.parent, e.u, e.v)
+            .expect("e.v is settled so the parent chain exists");
         // path = x … y; closing edge (y, x) is e itself.
         Some(Mwc {
-            weight: cand,
+            weight,
             witness: CycleWitness::new(path),
         })
     });
-    let best = first_min(per_edge);
     debug_assert!(best
         .as_ref()
         .is_none_or(|b| b.witness.validate(g) == Ok(b.weight)));
@@ -149,14 +230,21 @@ pub fn mwc_undirected_exact(g: &Graph) -> Option<Mwc> {
 ///
 /// Edge weights are ignored; for unit-weight graphs the girth equals the
 /// MWC weight. This is the `O(nm)` classical method: from each source the
-/// BFS-tree LCA of every non-tree edge's endpoints yields a real simple
-/// cycle, and for a source on a shortest cycle the antipodal edge yields
-/// the girth exactly.
+/// BFS-tree LCA `z` of every non-tree edge `(u, v)` yields a real simple
+/// cycle of length `d(u) + d(v) + 1 − 2·d(z)`, and for a source on a
+/// shortest cycle the antipodal edge yields the girth exactly.
 pub fn girth_exact(g: &Graph) -> Option<Mwc> {
+    girth_exact_jobs(g, mwc_par::jobs())
+}
+
+fn girth_exact_jobs(g: &Graph, jobs: usize) -> Option<Mwc> {
     assert!(!g.is_directed(), "girth_exact requires an undirected graph");
-    let per_source = mwc_par::ordered_map((0..g.n()).collect(), |s| {
-        let t = bfs(g, s, Direction::Forward);
-        let mut best: Option<Mwc> = None;
+    let bound = AtomicU64::new(u64::MAX);
+    let best = min_over_items(g.n(), jobs, |buf: &mut BfsBuf, s| {
+        bfs_into(g, s, Direction::Forward, buf);
+        let t = &buf.tree;
+        let known = usize::try_from(bound.load(Ordering::Relaxed)).unwrap_or(usize::MAX);
+        let mut best: Option<(usize, NodeId, NodeId, NodeId)> = None;
         for e in g.edges() {
             let (u, v) = (e.u, e.v);
             if t.dist[u] == HOP_INF || t.dist[v] == HOP_INF {
@@ -166,31 +254,65 @@ pub fn girth_exact(g: &Graph) -> Option<Mwc> {
             if t.parent[u] == Some(v) || t.parent[v] == Some(u) {
                 continue;
             }
-            let pu = extract_path(&t.parent, s, u).expect("reachable");
-            let pv = extract_path(&t.parent, s, v).expect("reachable");
-            let mut z = 0;
-            while z + 1 < pu.len() && z + 1 < pv.len() && pu[z + 1] == pv[z + 1] {
-                z += 1;
-            }
-            // Cycle: pu[z..=u] then pv from v back down to z+1 (tree paths
-            // diverge at pu[z] and never rejoin).
-            let mut cyc: Vec<NodeId> = pu[z..].to_vec();
-            cyc.extend(pv[z + 1..].iter().rev());
-            let len = cyc.len() as Weight;
-            if len >= 3 && best.as_ref().is_none_or(|b| len < b.weight) {
-                best = Some(Mwc {
-                    weight: len,
-                    witness: CycleWitness::new(cyc),
-                });
+            // A candidate matters only if it strictly beats this source's
+            // best and does not exceed the best cycle known overall.
+            let limit = best.map_or(known, |(b, ..)| known.min(b - 1));
+            if let Some((len, z)) = lca_cycle(t, u, v, limit) {
+                best = Some((len, u, v, z));
             }
         }
-        best
+        let (len, u, v, z) = best?;
+        if beaten(&bound, len as Weight) {
+            return None;
+        }
+        // Cycle: the tree path z … u, then v back up to just below z (the
+        // two tree paths diverge at z and never rejoin).
+        let mut cyc = extract_path(&t.parent, z, u).expect("z is an ancestor of u");
+        let mut x = v;
+        while x != z {
+            cyc.push(x);
+            x = t.parent[x].expect("z is an ancestor of v");
+        }
+        Some(Mwc {
+            weight: len as Weight,
+            witness: CycleWitness::new(cyc),
+        })
     });
-    let best = first_min(per_source);
     debug_assert!(best.as_ref().is_none_or(|b| {
         b.witness.validate(g).is_ok() && b.witness.hop_len() as Weight == b.weight
     }));
     best
+}
+
+/// The cycle a non-tree edge `(u, v)` closes in a BFS tree: its length
+/// `d(u) + d(v) + 1 − 2·d(z)` and the LCA `z`, found by lifting the deeper
+/// endpoint to the other's depth and then both until they meet. `None` once
+/// the length is sure to exceed `limit`: while the two are still apart at
+/// depth `h`, `z` lies at depth `h − 1` or above.
+fn lca_cycle(
+    t: &HopDistTree,
+    mut u: NodeId,
+    mut v: NodeId,
+    limit: usize,
+) -> Option<(usize, NodeId)> {
+    let up = |x: NodeId| t.parent[x].expect("a non-root tree node has a parent");
+    let span = t.dist[u] + t.dist[v] + 1;
+    while t.dist[u] > t.dist[v] {
+        u = up(u);
+    }
+    while t.dist[v] > t.dist[u] {
+        v = up(v);
+    }
+    while u != v {
+        if span - 2 * (t.dist[u] - 1) > limit {
+            return None;
+        }
+        u = up(u);
+        v = up(v);
+    }
+    let len = span - 2 * t.dist[u];
+    debug_assert!(len >= 3, "a non-tree edge closes a cycle of length ≥ 3");
+    (len <= limit).then_some((len, u))
 }
 
 /// Exact MWC for any graph, dispatching to the cheapest applicable oracle:
@@ -211,8 +333,84 @@ mod tests {
     use super::*;
     use crate::generators::{connected_gnm, planted_cycle, ring_with_chords, WeightRange};
     use crate::graph::Orientation;
+    use crate::seq::paths::{bfs, dijkstra};
     use mwc_rng::proptest_lite::Config;
     use mwc_rng::{prop_assert_eq, prop_tests};
+
+    /// Strict-improvement fold of one candidate into a running best; the
+    /// witness is built only when the candidate wins.
+    fn improve(best: &mut Option<Mwc>, weight: Weight, cycle: impl FnOnce() -> Vec<NodeId>) {
+        if best.as_ref().is_none_or(|b| weight < b.weight) {
+            *best = Some(Mwc {
+                weight,
+                witness: CycleWitness::new(cycle()),
+            });
+        }
+    }
+
+    /// Reference directed oracle: a full Dijkstra per source, candidates
+    /// in `in_adj` order, no pruning.
+    fn reference_directed(g: &Graph) -> Option<Mwc> {
+        let mut best = None;
+        for v in 0..g.n() {
+            let t = dijkstra(g, v, Direction::Forward);
+            for a in g.in_adj(v) {
+                if t.dist[a.to] != INF {
+                    improve(&mut best, t.dist[a.to] + a.weight, || {
+                        extract_path(&t.parent, v, a.to).unwrap()
+                    });
+                }
+            }
+        }
+        best
+    }
+
+    /// Reference undirected oracle: a full Dijkstra of `G − e` per edge `e`.
+    fn reference_undirected(g: &Graph) -> Option<Mwc> {
+        let mut best = None;
+        let mut buf = DijkstraBuf::default();
+        for (eid, e) in g.edges().iter().enumerate() {
+            dijkstra_into(g, e.u, Direction::Forward, eid, &mut buf, |_, _| true);
+            let t = &buf.tree;
+            if t.dist[e.v] != INF {
+                improve(&mut best, e.weight + t.dist[e.v], || {
+                    extract_path(&t.parent, e.u, e.v).unwrap()
+                });
+            }
+        }
+        best
+    }
+
+    /// Reference girth oracle: per source and non-tree edge, both tree
+    /// paths are extracted and the cycle is cut at their divergence point.
+    fn reference_girth(g: &Graph) -> Option<Mwc> {
+        let mut best = None;
+        for s in 0..g.n() {
+            let t = bfs(g, s, Direction::Forward);
+            for e in g.edges() {
+                let (u, v) = (e.u, e.v);
+                if t.dist[u] == HOP_INF || t.dist[v] == HOP_INF {
+                    continue;
+                }
+                if t.parent[u] == Some(v) || t.parent[v] == Some(u) {
+                    continue;
+                }
+                let pu = extract_path(&t.parent, s, u).unwrap();
+                let pv = extract_path(&t.parent, s, v).unwrap();
+                let mut z = 0;
+                while z + 1 < pu.len() && z + 1 < pv.len() && pu[z + 1] == pv[z + 1] {
+                    z += 1;
+                }
+                let mut cyc: Vec<NodeId> = pu[z..].to_vec();
+                cyc.extend(pv[z + 1..].iter().rev());
+                let len = cyc.len() as Weight;
+                if len >= 3 {
+                    improve(&mut best, len, || cyc);
+                }
+            }
+        }
+        best
+    }
 
     /// Brute-force MWC by DFS enumeration of simple cycles; only usable for
     /// tiny graphs, used as an independent ground truth.
@@ -370,37 +568,40 @@ mod tests {
 
     #[test]
     fn oracles_are_identical_for_any_worker_count() {
-        // Tie-heavy instances (tiny weight range) so tie-breaking — the
-        // part a naive parallel merge gets wrong — is actually exercised.
-        // Compares full `Mwc` values, i.e. witnesses too, not just weights.
-        let d = connected_gnm(
-            40,
-            90,
-            Orientation::Directed,
-            WeightRange::uniform(1, 3),
-            11,
-        );
-        let u = connected_gnm(
-            40,
-            70,
-            Orientation::Undirected,
-            WeightRange::uniform(1, 3),
-            12,
-        );
+        // Tie-heavy instances (tiny weight range, zero weights in the last
+        // two) so tie-breaking — the part a naive parallel merge or a
+        // non-strict prune gets wrong — is actually exercised. Compares
+        // full `Mwc` values, i.e. witnesses too, not just weights.
+        let directed = [
+            (WeightRange::uniform(1, 3), 11),
+            (WeightRange::uniform(0, 2), 14),
+        ]
+        .map(|(w, seed)| connected_gnm(40, 90, Orientation::Directed, w, seed));
+        let undirected = [
+            (WeightRange::uniform(1, 3), 12),
+            (WeightRange::uniform(0, 2), 15),
+        ]
+        .map(|(w, seed)| connected_gnm(40, 70, Orientation::Undirected, w, seed));
         let un = connected_gnm(40, 70, Orientation::Undirected, WeightRange::unit(), 13);
-        mwc_par::set_jobs(1);
-        let base = (
-            mwc_directed_exact(&d),
-            mwc_undirected_exact(&u),
-            girth_exact(&un),
-        );
         for jobs in [2, 4, 8] {
-            mwc_par::set_jobs(jobs);
-            assert_eq!(mwc_directed_exact(&d), base.0, "directed, jobs={jobs}");
-            assert_eq!(mwc_undirected_exact(&u), base.1, "undirected, jobs={jobs}");
-            assert_eq!(girth_exact(&un), base.2, "girth, jobs={jobs}");
+            for d in &directed {
+                let base = directed_exact_jobs(d, 1);
+                assert_eq!(directed_exact_jobs(d, jobs), base, "directed, jobs={jobs}");
+            }
+            for u in &undirected {
+                let base = undirected_exact_jobs(u, 1);
+                assert_eq!(
+                    undirected_exact_jobs(u, jobs),
+                    base,
+                    "undirected, jobs={jobs}"
+                );
+            }
+            assert_eq!(
+                girth_exact_jobs(&un, jobs),
+                girth_exact_jobs(&un, 1),
+                "girth, jobs={jobs}"
+            );
         }
-        mwc_par::set_jobs(1);
     }
 
     prop_tests! {
@@ -418,6 +619,18 @@ mod tests {
             let oracle = mwc_undirected_exact(&g).map(|m| m.weight);
             let brute = brute_force_mwc(&g);
             prop_assert_eq!(oracle, brute);
+        }
+
+        fn pruned_oracles_match_the_reference(seed in 0u64..10_000, n in 3usize..14, extra in 0usize..24) {
+            let un = connected_gnm(n, extra, Orientation::Undirected, WeightRange::unit(), seed);
+            let d = connected_gnm(n, extra, Orientation::Directed, WeightRange::uniform(0, 2), seed);
+            let u = connected_gnm(n, extra, Orientation::Undirected, WeightRange::uniform(0, 2), seed);
+            let want = (reference_girth(&un), reference_directed(&d), reference_undirected(&u));
+            for jobs in [1, 4] {
+                prop_assert_eq!(girth_exact_jobs(&un, jobs), want.0.clone());
+                prop_assert_eq!(directed_exact_jobs(&d, jobs), want.1.clone());
+                prop_assert_eq!(undirected_exact_jobs(&u, jobs), want.2.clone());
+            }
         }
 
         fn witnesses_always_validate(seed in 0u64..200, n in 4usize..12, extra in 0usize..16) {

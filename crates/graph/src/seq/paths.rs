@@ -3,7 +3,7 @@
 
 use crate::graph::{Adj, Graph, NodeId, Weight};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Sentinel for an unreachable node in weighted distances.
 pub const INF: Weight = Weight::MAX;
@@ -33,7 +33,7 @@ impl Direction {
 }
 
 /// Result of a hop-based search: distances in hops and a shortest-path tree.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct HopDistTree {
     /// `dist[v]` = hop distance from the source ([`HOP_INF`] if unreachable).
     pub dist: Vec<usize>,
@@ -42,7 +42,7 @@ pub struct HopDistTree {
 }
 
 /// Result of a weighted search: distances and a shortest-path tree.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DistTree {
     /// `dist[v]` = weighted distance from the source ([`INF`] if
     /// unreachable).
@@ -69,60 +69,106 @@ pub struct DistTree {
 /// # }
 /// ```
 pub fn bfs(g: &Graph, src: NodeId, dir: Direction) -> HopDistTree {
-    let mut dist = vec![HOP_INF; g.n()];
-    let mut parent = vec![None; g.n()];
-    let mut queue = VecDeque::new();
-    dist[src] = 0;
-    queue.push_back(src);
-    while let Some(u) = queue.pop_front() {
+    let mut buf = BfsBuf::default();
+    bfs_into(g, src, dir, &mut buf);
+    buf.tree
+}
+
+/// Buffers of a breadth-first search, reused across searches so that a
+/// loop of searches allocates nothing per search.
+#[derive(Default)]
+pub(crate) struct BfsBuf {
+    /// The last search's distances and shortest-path tree.
+    pub(crate) tree: HopDistTree,
+    /// FIFO queue: nodes in visit order, read from the front by index.
+    queue: Vec<NodeId>,
+}
+
+/// [`bfs`] into reused buffers: on return `buf.tree` is the search's tree.
+pub(crate) fn bfs_into(g: &Graph, src: NodeId, dir: Direction, buf: &mut BfsBuf) {
+    let BfsBuf { tree, queue } = buf;
+    reset(&mut tree.dist, g.n(), HOP_INF);
+    reset(&mut tree.parent, g.n(), None);
+    queue.clear();
+    tree.dist[src] = 0;
+    queue.push(src);
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
         for a in dir.adj(g, u) {
-            if dist[a.to] == HOP_INF {
-                dist[a.to] = dist[u] + 1;
-                parent[a.to] = Some(u);
-                queue.push_back(a.to);
+            if tree.dist[a.to] == HOP_INF {
+                tree.dist[a.to] = tree.dist[u] + 1;
+                tree.parent[a.to] = Some(u);
+                queue.push(a.to);
             }
         }
     }
-    HopDistTree { dist, parent }
 }
 
 /// Dijkstra's algorithm from `src`, following edges in `dir`. Weights are
 /// non-negative by the [`Graph`] invariant.
 pub fn dijkstra(g: &Graph, src: NodeId, dir: Direction) -> DistTree {
-    dijkstra_skipping(g, src, dir, usize::MAX)
+    let mut buf = DijkstraBuf::default();
+    dijkstra_into(g, src, dir, usize::MAX, &mut buf, |_, _| true);
+    buf.tree
 }
 
-/// Dijkstra that ignores the edge with id `skip_edge` in both directions —
-/// the workhorse of the per-edge-deletion MWC oracle. Pass
-/// `skip_edge = usize::MAX` to skip nothing.
-pub(crate) fn dijkstra_skipping(
+/// Buffers of a Dijkstra search, reused across searches so that a loop of
+/// searches allocates nothing per search.
+#[derive(Default)]
+pub(crate) struct DijkstraBuf {
+    /// The last search's distances and shortest-path tree.
+    pub(crate) tree: DistTree,
+    heap: BinaryHeap<Reverse<(Weight, NodeId)>>,
+}
+
+/// Dijkstra from `src` into reused buffers, ignoring the edge with id
+/// `skip_edge` in both directions (`usize::MAX` skips nothing).
+///
+/// `settle(d, u)` runs each time a node `u` is popped with its final
+/// distance `d`, before its edges are relaxed; returning `false` ends the
+/// search there. Pops come in order of `(distance, node id)`, and a popped
+/// node's distance and parent chain never change afterwards, so stopping
+/// early leaves every node popped so far exactly as a full search would.
+pub(crate) fn dijkstra_into(
     g: &Graph,
     src: NodeId,
     dir: Direction,
     skip_edge: usize,
-) -> DistTree {
-    let mut dist = vec![INF; g.n()];
-    let mut parent = vec![None; g.n()];
-    let mut heap = BinaryHeap::new();
-    dist[src] = 0;
+    buf: &mut DijkstraBuf,
+    mut settle: impl FnMut(Weight, NodeId) -> bool,
+) {
+    let DijkstraBuf { tree, heap } = buf;
+    reset(&mut tree.dist, g.n(), INF);
+    reset(&mut tree.parent, g.n(), None);
+    heap.clear();
+    tree.dist[src] = 0;
     heap.push(Reverse((0, src)));
     while let Some(Reverse((d, u))) = heap.pop() {
-        if d > dist[u] {
+        if d > tree.dist[u] {
             continue;
+        }
+        if !settle(d, u) {
+            return;
         }
         for a in dir.adj(g, u) {
             if a.edge == skip_edge {
                 continue;
             }
             let nd = d + a.weight;
-            if nd < dist[a.to] {
-                dist[a.to] = nd;
-                parent[a.to] = Some(u);
+            if nd < tree.dist[a.to] {
+                tree.dist[a.to] = nd;
+                tree.parent[a.to] = Some(u);
                 heap.push(Reverse((nd, a.to)));
             }
         }
     }
-    DistTree { dist, parent }
+}
+
+/// Refills `v` with `n` copies of `x`, keeping its allocation.
+fn reset<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
+    v.clear();
+    v.resize(n, x);
 }
 
 /// Exact *hop-limited* shortest-path distances: `dist[v]` is the minimum
@@ -273,7 +319,8 @@ mod tests {
     fn skipping_edge_reroutes() {
         let g = weighted_diamond();
         let cheap_edge = g.edge_id(2, 3).unwrap();
-        let t = dijkstra_skipping(&g, 0, Direction::Forward, cheap_edge);
-        assert_eq!(t.dist[3], 4); // forced through 0 → 1 → 3
+        let mut buf = DijkstraBuf::default();
+        dijkstra_into(&g, 0, Direction::Forward, cheap_edge, &mut buf, |_, _| true);
+        assert_eq!(buf.tree.dist[3], 4); // forced through 0 → 1 → 3
     }
 }

@@ -4,7 +4,8 @@
 //! The two one-sided guarantees that hold *deterministically* (not just
 //! w.h.p.) are the backbone: every reported weight is certified by a real
 //! simple cycle (so it is ≥ the true MWC), and the exact algorithms agree
-//! with the sequential oracles exactly.
+//! with the sequential oracles exactly. The approximation factors, which
+//! hold w.h.p., are checked from above too against the same oracles.
 //!
 //! Runs on `mwc_rng::proptest_lite`; new failures persist their case
 //! seed under `proplite-regressions/`.
@@ -95,6 +96,32 @@ prop_tests! {
         #[allow(clippy::int_plus_one)]
         let within = rep >= girth && rep <= 2 * girth - 1;
         prop_assert!(within, "rep {rep} girth {girth}");
+    }
+
+    /// The directed 2-approximation's upper side (Thm 1.2.C): the reported
+    /// weight is at most twice the oracle's MWC (a w.h.p. guarantee).
+    fn directed_factor_holds_probabilistically(seed in 0u64..10_000, n in 10usize..36, extra in 10usize..70) {
+        let g = connected_gnm(n, extra, Orientation::Directed, WeightRange::unit(), seed);
+        let Some(opt) = seq::mwc_exact(&g).map(|m| m.weight) else { return Ok(()) };
+        let out = two_approx_directed_mwc(&g, &Params::new().with_seed(seed ^ 0xBEEF));
+        out.assert_valid(&g);
+        let rep = out.weight.expect("cycle exists");
+        prop_assert!(rep >= opt && rep <= 2 * opt, "rep {rep} opt {opt}");
+    }
+
+    /// The weighted (2 + ε)-approximation's upper side (Thm 1.4.C), at the
+    /// default ε and a small one.
+    fn weighted_factor_holds_probabilistically(seed in 0u64..10_000, n in 10usize..28, extra in 10usize..50) {
+        let g = connected_gnm(n, extra, Orientation::Undirected, WeightRange::uniform(1, 20), seed);
+        let Some(opt) = seq::mwc_exact(&g).map(|m| m.weight) else { return Ok(()) };
+        for params in [Params::new(), Params::new().with_epsilon(0.1)] {
+            let params = params.with_seed(seed ^ 0xCAFE);
+            let out = approx_mwc_undirected_weighted(&g, &params);
+            out.assert_valid(&g);
+            let rep = out.weight.expect("cycle exists");
+            let within = rep >= opt && rep as f64 <= (2.0 + params.epsilon) * opt as f64;
+            prop_assert!(within, "rep {rep} opt {opt} eps {}", params.epsilon);
+        }
     }
 
     /// q-bounded detection agrees with the oracle's q-truncated girth on
