@@ -133,9 +133,9 @@ fn cmd_report(records_dir: &str) {
             r.alloc_bytes, r.alloc_count, r.peak_alloc_bytes, util, r.workers.busy_ms, r.wall_ms, jobs
         );
         // Flood-kernel engagement: how many flood primitives this run
-        // dispatched to a bitset kernel (unit-latency or calendar-queue
-        // stretched) vs. the scalar reference. Informational, like the
-        // `flood_kernel` knob stamp; pre-v8 records read as 0/0.
+        // dispatched to the bitset (calendar-ring) kernel vs. the scalar
+        // reference. Informational, like the `flood_kernel` knob stamp;
+        // records built outside the bench recorder read as 0/0.
         let knob = if r.flood_kernel.is_empty() {
             "-"
         } else {

@@ -80,10 +80,9 @@ pub fn init_shards() -> usize {
 /// Resolves the flood kernel for this bin and installs it process-wide:
 /// a `--flood-kernel=NAME` flag (`scalar` or `bitset`) wins over the
 /// `MWC_FLOOD_KERNEL` environment variable (default `bitset`). The
-/// bitset kernel covers unit-latency floods *and* latency-stretched ones
-/// (the calendar-queue variant, engaged whenever the plan's maximum
-/// stretch fits under `MWC_FLOOD_RING_MAX`); `scalar` forces the
-/// reference loop everywhere. Returns the effective kernel. Call once at
+/// bitset kernel serves every flood, whatever its latency table (one
+/// calendar-ring loop); `scalar` forces the reference loop everywhere.
+/// Returns the effective kernel. Call once at
 /// bin startup, alongside [`init_jobs`]/[`init_shards`].
 ///
 /// An unrecognized flag or environment value keeps the default (the
@@ -101,8 +100,8 @@ pub fn init_flood_kernel() -> mwc_congest::FloodKernel {
     let complain = |source: &str, raw: &str| {
         eprintln!(
             "[warn] unrecognized {source} value {raw:?}: valid flood kernels are `scalar` \
-             (reference loop) and `bitset` (default; covers unit-latency and latency-stretched \
-             floods up to MWC_FLOOD_RING_MAX stretch); keeping `{}`",
+             (reference loop) and `bitset` (default; calendar-ring loop for every flood, \
+             at any latency); keeping `{}`",
             mwc_congest::flood_kernel().name()
         );
     };

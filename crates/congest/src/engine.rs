@@ -752,57 +752,40 @@ impl<M> Network<M> {
         true
     }
 
-    /// Charges one round of a **unit-latency flood** without touching the
-    /// queue machinery: `links` are the links that each carry exactly one
-    /// one-word message this round, in send order (a link may appear at
-    /// most once — in the flood primitives each directed link has a single
-    /// sender, and a node forwards at most one announcement per round).
+    /// Charges round `round` of a bitset flood without touching the queue
+    /// machinery. `round` may jump ahead over quiet rounds, like
+    /// [`Network::step_fast_into`]. `links` each carry one one-word
+    /// *transfer* this round, in send order (a link appears at most once:
+    /// in the flood primitives each directed link has a single sender,
+    /// and a node forwards at most one announcement per round).
+    /// `delivered` are the links whose messages *arrive* this round, in
+    /// delivery order: a send with latency `ℓ` transfers now but arrives
+    /// `ℓ` rounds later, so the flood kernel passes its zero-latency sends
+    /// first, in send order, then this round's [`crate::flood::CalendarRing`]
+    /// expiries — the scalar engine delivers same-round completions before
+    /// transit expiries.
     ///
     /// Reproduces, stat for stat and event for event, what
-    /// [`Network::send_on_link`] followed by [`Network::step_into`] would
-    /// record for that traffic pattern: round/word/message totals,
-    /// per-link words, queue high-waters (each queue's depth peaks at
-    /// exactly one), the active-round histogram, peak-round tracking
-    /// (first-reach tie-break), the optional per-round history, and
-    /// message events in delivery order. This is what lets the bitset
+    /// [`Network::send_on_link`] + [`Network::step_into`] /
+    /// [`Network::step_fast_into`] would record for that traffic pattern:
+    /// transfer stats (words, per-link words, queue high-waters at depth 1,
+    /// the active-round histogram, first-reach peak tracking, the optional
+    /// per-round history) are charged only when `links` is nonempty — a
+    /// pure-arrival round is a quiet round that moves no words, matching an
+    /// engine step whose active set is empty — while the message count and
+    /// the message events follow `delivered`. This is what lets the bitset
     /// flood kernel ([`crate::flood`]) bypass per-message queueing while
     /// staying byte-identical to the engine-stepped scalar kernel in every
-    /// ledger count, congestion profile, and event log. An empty `links`
-    /// slice advances the round and records nothing, exactly like a
-    /// [`Network::step_into`] with no active link (source detection
-    /// charges such rounds when every popped announcement is filtered by
-    /// the distance budget).
-    pub(crate) fn charge_flood_round(&mut self, links: &[u32]) {
-        let round = self.round + 1;
-        self.charge_stretched_flood_round(round, links, links);
-    }
-
-    /// The latency-stretched generalization of
-    /// [`Network::charge_flood_round`]: charges round `round` (which may
-    /// jump ahead over quiet rounds, like [`Network::step_fast_into`])
-    /// where `links` each carry one one-word *transfer* this round (send
-    /// order) and `delivered` are the links whose messages *arrive* this
-    /// round (delivery order). On a unit-latency flood the two coincide;
-    /// on a stretched flood a send with latency `ℓ` transfers now but
-    /// arrives `ℓ` rounds later, so the calendar-queue kernel
-    /// ([`crate::flood::CalendarRing`]) passes this round's sends as
-    /// `links` and this round's calendar expiries (plus the zero-latency
-    /// sends, first, in send order — the scalar engine delivers same-round
-    /// completions before transit expiries) as `delivered`.
-    ///
-    /// Reproduces exactly what [`Network::send_on_link`] +
-    /// [`Network::step_into`]/[`Network::step_fast_into`] would record:
-    /// transfer stats (words, per-link words, active-round histogram,
-    /// first-reach peak tracking, optional history, queue high-waters at
-    /// depth 1) are charged only when `links` is nonempty — a pure-arrival
-    /// round is a quiet round that moves no words, matching an engine step
-    /// whose active set is empty — while the message count and the event
-    /// log follow `delivered`.
-    pub(crate) fn charge_stretched_flood_round(
+    /// ledger count, congestion profile, and event log. A round with
+    /// neither transfers nor arrivals advances the round and records
+    /// nothing, exactly like a [`Network::step_into`] with no active link
+    /// (source detection charges such rounds when every popped
+    /// announcement is filtered by the distance budget).
+    pub(crate) fn charge_flood_round(
         &mut self,
         round: u64,
         links: &[u32],
-        delivered: &[u32],
+        delivered: impl ExactSizeIterator<Item = u32>,
     ) {
         debug_assert!(round > self.round, "flood rounds advance monotonically");
         self.round = round;
@@ -831,7 +814,7 @@ impl<M> Network<M> {
         }
         self.stats.messages += delivered.len() as u64;
         if let Some(net) = self.events_net {
-            for &l in delivered {
+            for l in delivered {
                 let (from, to) = self.link_ends[l as usize];
                 crate::events::emit_msg(net, self.round, from, to, 1);
             }

@@ -1,71 +1,73 @@
 //! Shared flood-kernel machinery for the flood primitives: the
 //! precomputed traversal-edge CSR ([`FloodPlan`]), the u64-bitset frontier
-//! ([`BitFrontier`]) behind the bit-parallel kernel, the arrival-round
-//! calendar queue ([`CalendarRing`]) behind its latency-stretched variant,
-//! and the [`FloodKernel`] selection knob (`MWC_FLOOD_KERNEL`).
+//! ([`BitFrontier`]) and the arrival-round calendar queue
+//! ([`CalendarRing`]) behind the bitset kernel, and the [`FloodKernel`]
+//! selection knob (`MWC_FLOOD_KERNEL`).
 //!
-//! # Two kernels, one schedule
+//! # One ring kernel, one reference, one schedule
 //!
 //! The pipelined flood primitives ([`crate::multi_source_bfs`] and
 //! [`crate::source_detection`]) have two interchangeable inner loops:
 //!
 //! - **Scalar**: the reference implementation — per-node `BinaryHeap`
 //!   outboxes, every announcement enqueued on a [`Network`] link and moved
-//!   by `step_into`, stale heap entries skipped lazily at pop time.
+//!   by `step_into` (stretched edges through the engine's transit heap),
+//!   stale heap entries skipped lazily at pop time.
 //! - **Bitset**: frontiers are distance-bucketed u64 words, 64 source rows
 //!   per word, maintained *eagerly* (an improved or evicted announcement is
 //!   cleared with one AND-NOT instead of lingering as a stale heap entry),
-//!   and the engine's queue machinery is bypassed entirely — each round's
-//!   sends are delivered directly and charged in one pass through
-//!   [`Network::charge_flood_round`].
+//!   and the engine's queue machinery is bypassed entirely. A send over a
+//!   zero-latency hop is delivered in its send round; a send over a hop of
+//!   stretch `ℓ + 1` is parked `ℓ` rounds ahead in a [`CalendarRing`].
+//!   Each round is charged in one pass through `Network::charge_flood_round`
+//!   (this round's sends as the transfers; the zero-latency sends, then
+//!   this round's calendar expiries, as the arrivals).
 //!
 //! Both kernels execute the *same schedule*: the pop order of a
-//! [`BitFrontier`] is exactly the `(distance, source row)` heap order, and
+//! [`BitFrontier`] is exactly the `(distance, source row)` heap order,
 //! eager removal is observationally identical to lazy stale-skipping (a
 //! stale entry is popped and discarded for free; an eagerly-removed entry
-//! is simply never popped). The ledger keeps charging model-faithful
-//! rounds/words — bitset packing is an implementation detail, not a model
-//! change — so every run record, congestion profile, event log, and
-//! distance-table digest is byte-identical across kernels. The
-//! differential suites (`crates/congest/tests/flood_kernel_differential.rs`
-//! and the `MWC_FLOOD_KERNEL=scalar` CI perf-gate leg) pin that.
+//! is simply never popped), and the ring expires arrivals in the transit
+//! heap's `(arrival round, send sequence)` order. The ledger keeps
+//! charging model-faithful rounds/words — bitset packing is an
+//! implementation detail, not a model change — so every run record,
+//! congestion profile, event log, and distance-table digest is
+//! byte-identical across kernels. The differential suites
+//! (`crates/congest/tests/flood_kernel_differential.rs`,
+//! `calendar_ring_props.rs`, and the `MWC_FLOOD_KERNEL=scalar` CI
+//! perf-gate leg) pin that.
 //!
-//! Unit-latency floods (every traversal edge crosses in one round — plain
-//! BFS, or stretched searches whose latencies are all ≤ 1, which includes
-//! zero-weight edges) run the distance-bucketed kernel above.
-//! **Latency-stretched** floods run a calendar-queue variant: in-flight
-//! announcements live in a [`CalendarRing`] of `max_latency + 1`
-//! arrival-round buckets, a send over an edge with stretch `ℓ` lands `ℓ`
-//! buckets ahead, and each round is charged in one pass through
-//! `Network::charge_stretched_flood_round` (this round's sends as the
-//! transfers, this round's calendar expiries as the arrivals) — the exact
-//! per-round stats, in-flight occupancy, and event log the scalar engine's
-//! transit heap would have produced. The stretched kernel engages when
-//! `FloodPlan::max_latency() <= MWC_FLOOD_RING_MAX` (default
-//! [`FLOOD_RING_MAX_DEFAULT`], generous); a pathological latency table
-//! beyond the cap falls back to the scalar path rather than allocate an
-//! oversized ring.
+//! The bitset kernel serves every flood, at every latency: a unit-latency
+//! flood (plain BFS, or a stretched search whose edges all have weight
+//! ≤ 1) simply never parks anything, and a latency table of any size fits
+//! because the ring's window is capped and later arrivals wait in its
+//! overflow level.
 //!
 //! Kernel resolution, highest priority first (the [`mwc_par::shards`]
 //! convention): [`set_flood_kernel`] → the `MWC_FLOOD_KERNEL` environment
 //! variable (`scalar` | `bitset`) → [`FloodKernel::Bitset`]. Bitset is the
 //! default because it is byte-identical by construction and strictly
-//! faster; `scalar` is the escape hatch and the differential anchor.
+//! faster; `scalar` is the reference the differential suites check it
+//! against.
 
 use crate::engine::Network;
 use mwc_graph::seq::Direction;
 use mwc_graph::{Graph, NodeId, Weight};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Which inner loop the unit-latency flood primitives run. See the
-/// [module docs](self) for the contract: the choice is invisible to every
-/// gated metric — only wall-clock moves.
+/// Which inner loop the flood primitives run. See the [module docs](self)
+/// for the contract: the choice is invisible to every gated metric — only
+/// wall-clock moves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FloodKernel {
-    /// Engine-stepped reference loop (heap outboxes, per-link queues).
+    /// Engine-stepped reference loop (heap outboxes, per-link queues, the
+    /// engine's transit heap for stretched hops).
     Scalar,
-    /// Bit-parallel loop (u64 frontier words, direct delivery, rounds
-    /// charged in bulk via [`Network::charge_flood_round`]).
+    /// Bit-parallel loop (u64 frontier words, direct delivery, stretched
+    /// hops parked in a [`CalendarRing`], rounds charged in bulk via
+    /// `Network::charge_flood_round`).
     Bitset,
 }
 
@@ -119,35 +121,16 @@ pub fn flood_kernel() -> FloodKernel {
         .unwrap_or(FloodKernel::Bitset)
 }
 
-/// Default cap on [`FloodPlan::max_latency`] for the stretched bitset
-/// kernel: the calendar ring allocates `max_latency + 1` buckets, so the
-/// cap bounds that allocation. 65 536 buckets ≈ 1.5 MiB of empty `Vec`
-/// headers — generous enough that every latency table the workloads
-/// produce qualifies, small enough that a pathological table cannot
-/// balloon the ring.
-pub const FLOOD_RING_MAX_DEFAULT: u64 = 65_536;
-
-/// The effective calendar-ring cap: `MWC_FLOOD_RING_MAX`, else
-/// [`FLOOD_RING_MAX_DEFAULT`] (unparseable values fall through to the
-/// default, the lenient env-knob convention). A stretched flood whose
-/// [`FloodPlan::max_latency`] exceeds this runs the scalar path.
-pub fn flood_ring_max() -> u64 {
-    std::env::var("MWC_FLOOD_RING_MAX")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .unwrap_or(FLOOD_RING_MAX_DEFAULT)
-}
-
-/// Process-cumulative count of floods dispatched to a bitset kernel
-/// (unit-latency or calendar-queue).
+/// Process-cumulative count of floods dispatched to the bitset kernel.
 static FLOODS_BITSET: AtomicU64 = AtomicU64::new(0);
-/// Process-cumulative count of floods dispatched to the scalar fallback.
+/// Process-cumulative count of floods dispatched to the scalar reference.
 static FLOODS_SCALAR: AtomicU64 = AtomicU64::new(0);
 
 /// Process-cumulative kernel engagement: how many floods (one
 /// [`crate::multi_source_bfs`] or [`crate::source_detection`] call each)
-/// dispatched to a bitset kernel vs. the scalar fallback, as
-/// `(bitset, scalar)`. Bench bins snapshot this at run start and stamp the
+/// dispatched to the bitset kernel vs. the scalar reference, as
+/// `(bitset, scalar)`. The scalar count moves only under
+/// `MWC_FLOOD_KERNEL=scalar` (or [`set_flood_kernel`]). Bench bins snapshot this at run start and stamp the
 /// delta on the run record as the informational `floods_bitset` /
 /// `floods_scalar` fields.
 pub fn flood_engagement() -> (u64, u64) {
@@ -198,7 +181,7 @@ pub struct FloodPlan {
     /// One [`FloodHop`] per traversal edge, grouped by sending node.
     hops: Vec<FloodHop>,
     /// Largest hop latency — 0 means every edge crosses in one round and
-    /// the bitset kernel applies.
+    /// the flood never parks anything in a [`CalendarRing`].
     max_latency: u64,
 }
 
@@ -262,110 +245,172 @@ impl FloodPlan {
         &self.hops[self.start[v] as usize..self.start[v + 1] as usize]
     }
 
-    /// `true` when every hop crosses in one round (all latencies 0) — the
-    /// case the distance-bucketed bitset kernel handles without a
-    /// calendar ring.
-    pub fn unit_latency(&self) -> bool {
-        self.max_latency == 0
-    }
-
-    /// Largest hop latency in the plan. The stretched bitset kernel sizes
-    /// its [`CalendarRing`] as `max_latency + 1` buckets and engages only
-    /// when this is at most [`flood_ring_max`].
+    /// Largest hop latency in the plan: what the bitset kernel sizes its
+    /// [`CalendarRing`] for.
     pub fn max_latency(&self) -> u64 {
         self.max_latency
     }
 }
 
-/// A calendar queue over flood arrival rounds: a ring of
-/// `max_latency + 1` buckets, one per pending arrival round, indexed by
-/// `arrival % ring_size`. The stretched flood kernels park a latency-`ℓ`
-/// send in the bucket `ℓ` slots ahead of the round being charged and
-/// drain exactly one bucket per charged round — replacing the scalar
-/// engine's global transit `BinaryHeap` with O(1) insert and pop.
+/// Most buckets a [`CalendarRing`] allocates: a latency table whose
+/// largest stretch exceeds this still runs on the ring, with the furthest
+/// arrivals waiting in the overflow level until the window reaches them.
+/// 65 536 buckets ≈ 1.5 MiB of empty `Vec` headers, well above the
+/// latencies of every workload in the repo.
+const RING_SPAN: u64 = 1 << 16;
+
+/// A calendar queue over flood arrival rounds: a ring of `window`
+/// buckets, one per pending arrival round, indexed by `arrival % window`,
+/// plus an overflow min-heap for arrivals beyond the window. The bitset
+/// flood kernel parks a latency-`ℓ` send `ℓ` rounds ahead of the round
+/// being charged and drains exactly one round per charged round —
+/// replacing the scalar engine's global transit `BinaryHeap` with O(1)
+/// insert and pop for every arrival the window covers.
 ///
-/// Why a plain ring is enough: when round `R` is charged, every live
-/// arrival lies in the window `[R, R + max_latency]` (sends from earlier
-/// rounds have arrival `> R − 1 + 0` and at most `send_round +
-/// max_latency`; this round's sends land in `[R + 1, R + max_latency]`).
-/// The window spans at most `ring_size` consecutive rounds, so arrivals
+/// The window covers rounds `[base, base + window)`, where `base` is the
+/// earliest undrained round. While the ring is sized for the plan
+/// (`window = max_latency + 1`), every send lands inside it: a send
+/// charged at round `R = base` arrives in `[R + 1, R + max_latency]`, and
+/// the arrivals still pending lie in `[R, R + max_latency]`, so arrivals
 /// map injectively onto buckets and the bucket for round `R` holds
-/// *exactly* the round-`R` arrivals — no overflow chains, no sorting.
+/// *exactly* the round-`R` arrivals. When `max_latency + 1` exceeds
+/// `RING_SPAN`, sends beyond the window wait in the overflow heap,
+/// keyed by `(arrival, send sequence)`, and move into their bucket as
+/// soon as a drain brings their round into the window — before any
+/// direct push to that bucket can happen, since a direct push needs the
+/// same window.
 ///
 /// Order fidelity: the scalar transit heap pops by `(arrival round,
-/// global send sequence)`. Here items are pushed in send order and rounds
-/// are charged in increasing order, so each bucket's insertion order *is*
-/// the send-sequence order and a per-round drain replays the heap's pop
-/// order exactly. [`CalendarRing::next_arrival`] is the bulk analogue of
-/// the engine's quiet-round fast-forward: it scans at most one window for
-/// the earliest pending arrival so fully-quiet gaps are skipped without
-/// charging rounds.
+/// global send sequence)`. Items are pushed in send order and rounds are
+/// drained in increasing order; an overflowed arrival was sent before
+/// every direct push to its round, and the overflow heap releases a
+/// round's arrivals in send order, so each bucket's contents are in
+/// send-sequence order and a per-round drain replays the heap's pop order
+/// exactly. [`CalendarRing::next_arrival`] is the bulk analogue of the
+/// engine's quiet-round fast-forward: it finds the earliest pending
+/// arrival (scanning at most one window, then the overflow heap) so
+/// fully-quiet gaps are skipped without charging rounds.
 #[derive(Clone, Debug)]
 pub struct CalendarRing<T> {
     /// `buckets[a % buckets.len()]` holds the pending round-`a` arrivals
     /// in send order, tagged with `a` to assert the window invariant.
+    /// Empty for a latency-0 ring, which never parks anything.
     buckets: Vec<Vec<(u64, T)>>,
-    /// Total pending arrivals across all buckets.
+    /// Pending arrivals across all buckets.
     len: usize,
+    /// Earliest undrained round: the window is `[base, base + window)`.
+    base: u64,
+    /// Arrivals beyond the window as `(arrival, seq, item)`, earliest
+    /// `(arrival, seq)` on top (`seq` is unique, so `item` never breaks a
+    /// tie).
+    overflow: BinaryHeap<Reverse<(u64, u64, T)>>,
+    /// Send sequence number of the next overflowed arrival.
+    seq: u64,
 }
 
-impl<T> CalendarRing<T> {
-    /// A ring covering arrival latencies up to `max_latency` (so
-    /// `max_latency + 1` buckets: a latency-1 send charged at round `R`
-    /// arrives at `R + 1`, the furthest at `R + max_latency`).
+impl<T: Ord> CalendarRing<T> {
+    /// A ring sized for arrival latencies up to `max_latency`: a window
+    /// of `min(max_latency + 1, RING_SPAN)` buckets (a latency-1 send
+    /// charged at round `R` arrives at `R + 1`, the furthest at
+    /// `R + max_latency`). A latency-0 ring allocates nothing. Arrivals
+    /// beyond the window are still accepted; they wait in the overflow
+    /// level. Rounds start at 1, the first round a flood can charge.
     pub fn new(max_latency: u64) -> CalendarRing<T> {
-        let size = usize::try_from(max_latency + 1).expect("ring size fits usize");
+        let window = if max_latency == 0 {
+            0
+        } else {
+            max_latency.saturating_add(1).min(RING_SPAN)
+        };
         CalendarRing {
-            buckets: (0..size).map(|_| Vec::new()).collect(),
+            buckets: (0..window).map(|_| Vec::new()).collect(),
             len: 0,
+            base: 1,
+            overflow: BinaryHeap::new(),
+            seq: 0,
         }
     }
 
-    /// Parks `item` for delivery at round `arrival`. The caller keeps the
-    /// window invariant: `arrival` is within `max_latency` rounds of the
-    /// round being charged.
+    /// Parks `item` for delivery at round `arrival`, which must not be a
+    /// drained round.
     pub fn push(&mut self, arrival: u64, item: T) {
-        let b = (arrival % self.buckets.len() as u64) as usize;
-        self.buckets[b].push((arrival, item));
-        self.len += 1;
+        debug_assert!(arrival >= self.base, "arrival {arrival} already drained");
+        let window = self.buckets.len() as u64;
+        if arrival - self.base < window {
+            self.buckets[(arrival % window) as usize].push((arrival, item));
+            self.len += 1;
+        } else {
+            self.overflow.push(Reverse((arrival, self.seq, item)));
+            self.seq += 1;
+        }
     }
 
     /// Drains the round-`round` arrivals into `out` in send order —
     /// exactly what the scalar transit heap would pop while expiring
-    /// round `round`.
+    /// round `round`. Rounds drain in increasing order, and every round
+    /// skipped since the last drain must hold no arrival (the caller
+    /// reaches `round` by [`CalendarRing::next_arrival`]).
     pub fn drain_round_into(&mut self, round: u64, out: &mut Vec<T>) {
-        let b = (round % self.buckets.len() as u64) as usize;
-        self.len -= self.buckets[b].len();
-        for (arrival, item) in self.buckets[b].drain(..) {
-            debug_assert_eq!(arrival, round, "calendar window invariant violated");
+        debug_assert!(round >= self.base, "rounds drain in increasing order");
+        // Overflowed round-`round` arrivals exist only when `round` was
+        // beyond the window at the last drain — so its bucket is empty.
+        while self
+            .overflow
+            .peek()
+            .is_some_and(|Reverse((a, ..))| *a <= round)
+        {
+            let Reverse((arrival, _, item)) = self.overflow.pop().expect("peeked");
+            debug_assert_eq!(arrival, round, "skipped a pending arrival");
             out.push(item);
         }
-    }
-
-    /// The earliest pending arrival strictly after round `after`, or
-    /// `None` when the ring is empty — the stretched kernel's
-    /// quiet-round fast-forward (`Network::step_fast_into` in the scalar
-    /// path). Scans at most one window: every live arrival lies in
-    /// `(after, after + ring_size]` once rounds up to `after` are
-    /// drained.
-    pub fn next_arrival(&self, after: u64) -> Option<u64> {
-        if self.len == 0 {
-            return None;
+        let window = self.buckets.len() as u64;
+        if self.len > 0 {
+            let b = &mut self.buckets[(round % window) as usize];
+            self.len -= b.len();
+            for (arrival, item) in b.drain(..) {
+                debug_assert_eq!(arrival, round, "calendar window invariant violated");
+                out.push(item);
+            }
         }
-        let size = self.buckets.len() as u64;
-        (after + 1..=after + size).find(|r| !self.buckets[(r % size) as usize].is_empty())
+        self.base = round + 1;
+        // Promote the overflow the window now covers, in `(arrival, seq)`
+        // order, before any direct push to those buckets can happen.
+        while self
+            .overflow
+            .peek()
+            .is_some_and(|Reverse((a, ..))| a - self.base < window)
+        {
+            let Reverse((arrival, _, item)) = self.overflow.pop().expect("peeked");
+            self.buckets[(arrival % window) as usize].push((arrival, item));
+            self.len += 1;
+        }
     }
 
-    /// `true` when no arrival is pending — the stretched kernel's
+    /// The earliest pending arrival, or `None` when the ring is empty —
+    /// the bitset kernel's quiet-round fast-forward
+    /// (`Network::step_fast_into` in the scalar path). Bucketed arrivals
+    /// all precede the overflow, so this scans at most one window before
+    /// consulting the heap.
+    pub fn next_arrival(&self) -> Option<u64> {
+        let window = self.buckets.len() as u64;
+        let bucketed = if self.len > 0 {
+            (self.base..self.base + window)
+                .find(|r| !self.buckets[(r % window) as usize].is_empty())
+        } else {
+            None
+        };
+        bucketed.or_else(|| self.overflow.peek().map(|Reverse((a, ..))| *a))
+    }
+
+    /// `true` when no arrival is pending — the bitset kernel's
     /// `Network::is_idle` analogue.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len == 0 && self.overflow.is_empty()
     }
 
     /// Number of pending arrivals (the scalar path's in-flight transit
     /// occupancy).
     pub fn len(&self) -> usize {
-        self.len
+        self.len + self.overflow.len()
     }
 }
 
@@ -555,6 +600,29 @@ mod tests {
         g.drain_below(4, 64);
         assert_eq!(g.pop_min(), Some((4, 64)));
         assert_eq!(g.pop_min(), None);
+    }
+
+    #[test]
+    fn ring_window_is_capped_and_free_at_latency_zero() {
+        // A unit-latency flood never parks anything: no buckets at all.
+        let unit: CalendarRing<u32> = CalendarRing::new(0);
+        assert_eq!(unit.buckets.capacity(), 0);
+        assert_eq!(unit.next_arrival(), None);
+        assert_eq!(CalendarRing::<u32>::new(9).buckets.len(), 10);
+        // Any latency table fits: the window stops at the span and the
+        // rest waits in the overflow level.
+        let mut wide: CalendarRing<u32> = CalendarRing::new(u64::MAX);
+        assert_eq!(wide.buckets.len() as u64, RING_SPAN);
+        wide.push(1 + 3 * RING_SPAN, 7);
+        wide.push(2, 5);
+        assert_eq!((wide.len(), wide.overflow.len()), (2, 1));
+        assert_eq!(wide.next_arrival(), Some(2));
+        let mut out = Vec::new();
+        wide.drain_round_into(2, &mut out);
+        assert_eq!(wide.next_arrival(), Some(1 + 3 * RING_SPAN));
+        wide.drain_round_into(1 + 3 * RING_SPAN, &mut out);
+        assert_eq!(out, vec![5, 7]);
+        assert!(wide.is_empty());
     }
 
     #[test]

@@ -62,8 +62,8 @@ pub use distmat::{DistMatrix, INF};
 pub use engine::{hist_bucket, Delivery, NetStats, Network, RoundOutput, SendError, HIST_BUCKETS};
 pub use events::EventCapture;
 pub use flood::{
-    flood_engagement, flood_kernel, flood_ring_max, set_flood_kernel, CalendarRing, FloodHop,
-    FloodKernel, FloodPlan, FLOOD_RING_MAX_DEFAULT,
+    flood_engagement, flood_kernel, set_flood_kernel, CalendarRing, FloodHop, FloodKernel,
+    FloodPlan,
 };
 pub use ledger::{Ledger, Phase};
 pub use multibfs::{multi_source_bfs, source_detection, Detection, DetectionLists, MultiBfsSpec};

@@ -14,16 +14,14 @@
 //! BFS on the stretched graph where each weighted edge becomes a path of
 //! `ℓ` unit edges simulated at its endpoint.
 //!
-//! Each primitive has interchangeable inner loops selected by
+//! Each primitive has two interchangeable inner loops selected by
 //! [`crate::flood::flood_kernel`]: the engine-stepped **scalar** reference
-//! and the bit-parallel **bitset** kernels (u64 frontier words, direct
-//! delivery, rounds charged via `Network::charge_flood_round` /
-//! `Network::charge_stretched_flood_round`). Unit-latency floods run the
-//! plain bitset kernel; latency-stretched floods run its calendar-queue
-//! variant (in-flight announcements parked in a
-//! [`CalendarRing`](crate::flood::CalendarRing) of arrival-round buckets)
-//! whenever `FloodPlan::max_latency()` fits under
-//! [`flood_ring_max`](crate::flood::flood_ring_max). Every kernel is
+//! and the bit-parallel **bitset** kernel (u64 frontier words, direct
+//! delivery, stretched hops parked in a
+//! [`CalendarRing`](crate::flood::CalendarRing) of arrival-round buckets,
+//! rounds charged via `Network::charge_flood_round`). Both primitives share
+//! one bitset loop, [`ring_kernel`], at every latency; each supplies only
+//! its admit step and its round rule ([`FloodRule`]). The bitset kernel is
 //! byte-identical to the scalar one in every ledger count, event, and
 //! output — see the [`crate::flood`] module docs for the equivalence
 //! argument.
@@ -31,8 +29,8 @@
 use crate::distmat::{DistMatrix, INF};
 use crate::engine::{Network, RoundOutput};
 use crate::flood::{
-    flood_kernel, flood_ring_max, note_flood_engagement, validate_sources, BitFrontier,
-    CalendarRing, FloodKernel, FloodPlan,
+    flood_kernel, note_flood_engagement, validate_sources, BitFrontier, CalendarRing, FloodKernel,
+    FloodPlan,
 };
 use crate::ledger::Ledger;
 use mwc_graph::seq::Direction;
@@ -106,14 +104,10 @@ pub fn multi_source_bfs(
     let mut net: Network<Announce> = Network::new_auto(g);
     let plan = FloodPlan::build(g, &net, spec.direction, spec.latency);
 
-    let bitset = flood_kernel() == FloodKernel::Bitset && plan.max_latency() <= flood_ring_max();
+    let bitset = flood_kernel() == FloodKernel::Bitset;
     note_flood_engagement(bitset);
     if bitset {
-        if plan.unit_latency() {
-            bfs_kernel_bitset(sources, spec.max_dist, &plan, &mut net, &mut mat);
-        } else {
-            bfs_kernel_stretched(sources, spec.max_dist, &plan, &mut net, &mut mat);
-        }
+        ring_kernel(n, sources, spec.max_dist, &plan, &mut net, &mut mat);
     } else {
         bfs_kernel_scalar(n, sources, spec.max_dist, &plan, &mut net, &mut mat);
     }
@@ -138,8 +132,7 @@ pub fn multi_source_bfs(
 /// The engine-stepped scalar BFS loop: heap outboxes with lazy
 /// stale-skipping, every announcement moved through the [`Network`]'s
 /// per-link queues (and, for stretched edges, its transit heap). The
-/// reference semantics every bitset kernel must replicate byte-for-byte,
-/// and the fallback when a latency table overflows the calendar-ring cap.
+/// reference semantics the bitset kernel must replicate byte-for-byte.
 fn bfs_kernel_scalar(
     n: usize,
     sources: &[NodeId],
@@ -235,231 +228,6 @@ fn bfs_kernel_scalar(
     }
 }
 
-/// The bit-parallel BFS loop for unit-latency floods: per-node
-/// [`BitFrontier`] outboxes (64 source rows per word, maintained eagerly
-/// so every pop is fresh), deliveries applied directly in send order, and
-/// each round's traffic charged in one [`Network::charge_flood_round`]
-/// pass. Executes the exact scalar schedule — same pops, same sends, same
-/// delivery order, same predecessor tie-breaks — without the per-message
-/// queue machinery.
-///
-/// Superseded announcements move into a per-node *ghost* frontier rather
-/// than vanishing: the scalar heap keeps stale entries until a pop walks
-/// past them, and "heap nonempty" is its re-pend test — so ghost
-/// occupancy must feed the bitset re-pend test too, or nodes would enter
-/// the pending list at different positions and the send order (observed
-/// by the event log) would drift.
-fn bfs_kernel_bitset(
-    sources: &[NodeId],
-    max_dist: Weight,
-    plan: &FloodPlan,
-    net: &mut Network<Announce>,
-    mat: &mut DistMatrix,
-) {
-    let mut outbox: Vec<BitFrontier> = vec![BitFrontier::default(); mat.n()];
-    let mut ghost: Vec<BitFrontier> = vec![BitFrontier::default(); mat.n()];
-    let mut pending: Vec<NodeId> = Vec::new();
-    let mut pending_flag = vec![false; mat.n()];
-
-    for (row, &s) in sources.iter().enumerate() {
-        mat.set_row(row, s, 0, None);
-        outbox[s].insert(0, row as u32);
-        if !pending_flag[s] {
-            pending_flag[s] = true;
-            pending.push(s);
-        }
-    }
-
-    // This round's traffic: the links charged and the deliveries they
-    // carry as `(to, row, dist, from)`, both in send order.
-    let mut links: Vec<u32> = Vec::new();
-    let mut deliv: Vec<(u32, u32, Weight, u32)> = Vec::new();
-    loop {
-        let acting = std::mem::take(&mut pending);
-        links.clear();
-        deliv.clear();
-        for v in acting {
-            pending_flag[v] = false;
-            // Eager maintenance means no stale entries: the first pop is
-            // the smallest fresh announcement. The scalar pop walk would
-            // have consumed the stale (ghost) entries ahead of it — or
-            // the whole heap when nothing fresh remains.
-            let Some((d, row)) = outbox[v].pop_min() else {
-                ghost[v].clear();
-                continue;
-            };
-            ghost[v].drain_below(d, row);
-            for hop in plan.of(v) {
-                let cand = add_dist(d, hop.dist_add);
-                if cand > max_dist {
-                    continue;
-                }
-                links.push(hop.link);
-                deliv.push((hop.to, row, cand, v as u32));
-            }
-            if (!outbox[v].is_empty() || !ghost[v].is_empty()) && !pending_flag[v] {
-                pending_flag[v] = true;
-                pending.push(v);
-            }
-        }
-
-        if links.is_empty() {
-            if !pending.is_empty() {
-                // Entirely-filtered pops: no traffic, no round charged.
-                continue;
-            }
-            break;
-        }
-        net.charge_flood_round(&links);
-        for &(to, row, cand, from) in &deliv {
-            let v = to as usize;
-            let old = mat.get_row(row as usize, v);
-            if cand < old {
-                if old != INF && outbox[v].remove(old, row) {
-                    // The eager move: the superseded announcement becomes
-                    // a ghost (the scalar heap would keep it as a stale
-                    // entry). Already-forwarded rows have no bit to move.
-                    ghost[v].insert(old, row);
-                }
-                mat.set_row(row as usize, v, cand, Some(from as usize));
-                outbox[v].insert(cand, row);
-                if !pending_flag[v] {
-                    pending_flag[v] = true;
-                    pending.push(v);
-                }
-            }
-        }
-    }
-}
-
-/// An in-flight announcement parked in the calendar ring:
-/// `(link, to, row, dist, from)` — the link whose transfer was already
-/// charged in its send round, and everything delivery needs on expiry.
-type RingMsg = (u32, u32, u32, Weight, u32);
-
-/// The calendar-queue BFS loop for latency-stretched floods: the same
-/// eager [`BitFrontier`] outbox/ghost discipline as [`bfs_kernel_bitset`],
-/// plus a [`CalendarRing`] standing in for the scalar engine's transit
-/// heap. A send over a hop with latency `ℓ ≥ 1` is charged as a transfer
-/// in its send round but parked `ℓ` buckets ahead; zero-latency sends are
-/// delivered in the send round itself, *before* that round's calendar
-/// expiries — exactly the scalar `step_into` order (same-round completions
-/// in send order, then transit pops in `(arrival, send-sequence)` order,
-/// which per-bucket insertion order reproduces).
-///
-/// Round control mirrors the scalar loop branch for branch: filtered pops
-/// with pending work left spin without charging a round; a round with
-/// sends is charged via `Network::charge_stretched_flood_round` with this
-/// round's links and arrivals; and when nothing was sent but arrivals are
-/// still in flight, [`CalendarRing::next_arrival`] fast-forwards to the
-/// next expiry (`step_fast_into` in the scalar path) — a charged round
-/// with zero transfers, messages only.
-fn bfs_kernel_stretched(
-    sources: &[NodeId],
-    max_dist: Weight,
-    plan: &FloodPlan,
-    net: &mut Network<Announce>,
-    mat: &mut DistMatrix,
-) {
-    let n = mat.n();
-    let mut outbox: Vec<BitFrontier> = vec![BitFrontier::default(); n];
-    let mut ghost: Vec<BitFrontier> = vec![BitFrontier::default(); n];
-    let mut pending: Vec<NodeId> = Vec::new();
-    let mut pending_flag = vec![false; n];
-    let mut ring: CalendarRing<RingMsg> = CalendarRing::new(plan.max_latency());
-
-    for (row, &s) in sources.iter().enumerate() {
-        mat.set_row(row, s, 0, None);
-        outbox[s].insert(0, row as u32);
-        if !pending_flag[s] {
-            pending_flag[s] = true;
-            pending.push(s);
-        }
-    }
-
-    // This round's traffic: every charged link in send order, and the
-    // messages *delivered* this round — zero-latency sends first (send
-    // order), then calendar expiries — as parallel delivered-link /
-    // payload vectors.
-    let mut links: Vec<u32> = Vec::new();
-    let mut dlinks: Vec<u32> = Vec::new();
-    let mut deliv: Vec<(u32, u32, Weight, u32)> = Vec::new();
-    let mut expiries: Vec<RingMsg> = Vec::new();
-    loop {
-        let acting = std::mem::take(&mut pending);
-        links.clear();
-        dlinks.clear();
-        deliv.clear();
-        // If anything is sent this iteration, it is charged at this round.
-        let send_round = net.round() + 1;
-        for v in acting {
-            pending_flag[v] = false;
-            let Some((d, row)) = outbox[v].pop_min() else {
-                ghost[v].clear();
-                continue;
-            };
-            ghost[v].drain_below(d, row);
-            for hop in plan.of(v) {
-                let cand = add_dist(d, hop.dist_add);
-                if cand > max_dist {
-                    continue;
-                }
-                links.push(hop.link);
-                if hop.latency == 0 {
-                    dlinks.push(hop.link);
-                    deliv.push((hop.to, row, cand, v as u32));
-                } else {
-                    ring.push(
-                        send_round + hop.latency,
-                        (hop.link, hop.to, row, cand, v as u32),
-                    );
-                }
-            }
-            if (!outbox[v].is_empty() || !ghost[v].is_empty()) && !pending_flag[v] {
-                pending_flag[v] = true;
-                pending.push(v);
-            }
-        }
-
-        let round = if links.is_empty() {
-            if !pending.is_empty() {
-                // Entirely-filtered pops: no traffic, no round charged.
-                continue;
-            }
-            // Nothing to send and nothing ever will be unless an arrival
-            // lands: fast-forward to the next expiry, or finish.
-            let Some(next) = ring.next_arrival(net.round()) else {
-                break;
-            };
-            next
-        } else {
-            send_round
-        };
-        expiries.clear();
-        ring.drain_round_into(round, &mut expiries);
-        for &(link, to, row, cand, from) in &expiries {
-            dlinks.push(link);
-            deliv.push((to, row, cand, from));
-        }
-        net.charge_stretched_flood_round(round, &links, &dlinks);
-        for &(to, row, cand, from) in &deliv {
-            let v = to as usize;
-            let old = mat.get_row(row as usize, v);
-            if cand < old {
-                if old != INF && outbox[v].remove(old, row) {
-                    ghost[v].insert(old, row);
-                }
-                mat.set_row(row as usize, v, cand, Some(from as usize));
-                outbox[v].insert(cand, row);
-                if !pending_flag[v] {
-                    pending_flag[v] = true;
-                    pending.push(v);
-                }
-            }
-        }
-    }
-}
-
 /// `(dist, src)` ordering helper — distance first, then source row for a
 /// deterministic tiebreak.
 type Announce2 = (Weight, u32);
@@ -523,7 +291,6 @@ impl Detection {
 /// entries — so the admit fast path is an array index plus a short
 /// binary search instead of hash-map and B-tree traffic.
 struct DetectState {
-    n: usize,
     rows: usize,
     best: Vec<(Weight, NodeId)>,
     top: Vec<Vec<(Weight, u32)>>,
@@ -533,7 +300,6 @@ struct DetectState {
 impl DetectState {
     fn new(n: usize, rows: usize, sigma: usize) -> DetectState {
         DetectState {
-            n,
             rows,
             best: vec![(INF, NodeId::MAX); n * rows],
             top: (0..n).map(|_| Vec::with_capacity(sigma + 1)).collect(),
@@ -550,48 +316,6 @@ impl DetectState {
     /// Whether `entry` is currently in `v`'s top-`σ` set.
     fn in_top(&self, v: NodeId, entry: (Weight, u32)) -> bool {
         self.top[v].binary_search(&entry).is_ok()
-    }
-
-    /// Offers `(d, src_row)` arriving at `v` from `pred`. Updates the
-    /// best/top structures and returns whether the entry survived
-    /// truncation (= should be forwarded). `retire` is called for every
-    /// announcement this displaces — the superseded distance on an
-    /// improvement, and each truncation eviction — which is how the
-    /// bitset kernel keeps its frontier eagerly fresh (the scalar kernel
-    /// passes a no-op and skips stale heap entries lazily at pop time).
-    fn admit(
-        &mut self,
-        v: NodeId,
-        src_row: u32,
-        d: Weight,
-        pred: NodeId,
-        mut retire: impl FnMut(Weight, u32),
-    ) -> bool {
-        let slot = &mut self.best[v * self.rows + src_row as usize];
-        let old = slot.0;
-        // Admitted distances never reach `INF` (announcements assert
-        // against saturation), so the absent sentinel can only lose here.
-        if old <= d {
-            return false;
-        }
-        *slot = (d, pred);
-        let top = &mut self.top[v];
-        if old != INF {
-            // The superseded entry may already have been truncated away.
-            if let Ok(i) = top.binary_search(&(old, src_row)) {
-                top.remove(i);
-            }
-            retire(old, src_row);
-        }
-        let pos = top.binary_search(&(d, src_row)).unwrap_err();
-        top.insert(pos, (d, src_row));
-        while top.len() > self.sigma {
-            let worst = top.pop().expect("nonempty");
-            retire(worst.0, worst.1);
-        }
-        // Forward only if the entry survived truncation (it did exactly
-        // when it landed inside the first σ slots).
-        pos < self.sigma
     }
 }
 
@@ -636,14 +360,10 @@ pub fn source_detection(
     srcs.sort_unstable();
 
     let mut state = DetectState::new(n, srcs.len(), sigma);
-    let bitset = flood_kernel() == FloodKernel::Bitset && plan.max_latency() <= flood_ring_max();
+    let bitset = flood_kernel() == FloodKernel::Bitset;
     note_flood_engagement(bitset);
     if bitset {
-        if plan.unit_latency() {
-            detect_kernel_bitset(&srcs, h, &plan, &mut net, &mut state);
-        } else {
-            detect_kernel_stretched(&srcs, h, &plan, &mut net, &mut state);
-        }
+        ring_kernel(n, &srcs, h, &plan, &mut net, &mut state);
     } else {
         detect_kernel_scalar(n, &srcs, h, &plan, &mut net, &mut state);
     }
@@ -681,8 +401,7 @@ pub fn source_detection(
     }
 }
 
-/// The engine-stepped scalar detection loop (reference semantics; the
-/// fallback when a latency table overflows the calendar-ring cap). Heap
+/// The engine-stepped scalar detection loop (reference semantics). Heap
 /// outboxes hold entries that may go stale — superseded by a closer
 /// announcement or evicted from the top-`σ` set — and are skipped lazily
 /// at pop time.
@@ -700,7 +419,7 @@ fn detect_kernel_scalar(
     let mut pending_flag = vec![false; n];
 
     for (row, &s) in srcs.iter().enumerate() {
-        if state.admit(s, row as u32, 0, s, |_, _| {}) {
+        if state.admit(s, row as u32, 0, None, |_, _| {}) {
             outbox[s].push(Reverse((0, row as u32)));
             if !pending_flag[s] {
                 pending_flag[s] = true;
@@ -756,7 +475,7 @@ fn detect_kernel_scalar(
         for dmsg in out.deliveries.drain(..) {
             let (row, cand) = dmsg.payload;
             let v = dmsg.to;
-            if state.admit(v, row, cand, dmsg.from, |_, _| {}) {
+            if state.admit(v, row, cand, Some(dmsg.from), |_, _| {}) {
                 outbox[v].push(Reverse((cand, row)));
                 if !pending_flag[v] {
                     pending_flag[v] = true;
@@ -767,213 +486,290 @@ fn detect_kernel_scalar(
     }
 }
 
-/// The bit-parallel detection loop for unit-latency floods: frontier
-/// words maintained eagerly through `DetectState::admit`'s retire hook
-/// (improvements and top-`σ` evictions clear bits on the spot), direct
-/// delivery in send order, rounds charged via
-/// [`Network::charge_flood_round`]. Note the round-control contract it
-/// mirrors from the scalar loop: a round is charged whenever any node
-/// popped a fresh announcement, even if the distance budget then filtered
-/// every send (an empty charge advances the round like an idle
-/// `step_into`).
-fn detect_kernel_bitset(
-    srcs: &[NodeId],
-    h: Weight,
-    plan: &FloodPlan,
-    net: &mut Network<(u32, Weight)>,
-    state: &mut DetectState,
-) {
-    let n = state.n;
-    let mut outbox: Vec<BitFrontier> = vec![BitFrontier::default(); n];
-    let mut ghost: Vec<BitFrontier> = vec![BitFrontier::default(); n];
-    let mut pending: Vec<NodeId> = Vec::new();
-    let mut pending_flag = vec![false; n];
+/// An in-flight announcement: `(link, to, row, dist, from)` — the link
+/// whose transfer is charged in its send round, and everything delivery
+/// needs on arrival.
+type RingMsg = (u32, u32, u32, Weight, u32);
 
-    for (row, &s) in srcs.iter().enumerate() {
-        let (ob, gh) = (&mut outbox[s], &mut ghost[s]);
-        let retire = |d, r| {
-            if ob.remove(d, r) {
-                gh.insert(d, r);
-            }
-        };
-        if state.admit(s, row as u32, 0, s, retire) {
-            outbox[s].insert(0, row as u32);
-            if !pending_flag[s] {
-                pending_flag[s] = true;
-                pending.push(s);
-            }
+/// One flood primitive's side of [`ring_kernel`]: the state an arriving
+/// announcement is offered to, and the one round rule on which the two
+/// primitives' scalar loops differ.
+trait FloodRule {
+    /// Whether a round in which nodes popped announcements but the budget
+    /// filtered every send is still charged. The scalar detection loop
+    /// steps the engine whenever a node popped a fresh entry (an idle
+    /// `step_into`: the round advances, nothing is transferred, and that
+    /// round's arrivals still land); the scalar BFS loop only steps when
+    /// something was sent, and otherwise keeps draining outboxes locally.
+    const CHARGE_FILTERED_POPS: bool;
+
+    /// Offers `(row, d)` arriving at `v` from `pred` (`None` for a
+    /// source's self-seed). Returns whether the announcement is fresh —
+    /// to be queued and forwarded. Every announcement it displaces (a
+    /// superseded distance, a truncation eviction) is passed to `retire`,
+    /// which is how the bitset kernel keeps its frontier eagerly fresh.
+    fn admit(
+        &mut self,
+        v: NodeId,
+        row: u32,
+        d: Weight,
+        pred: Option<NodeId>,
+        retire: impl FnMut(Weight, u32),
+    ) -> bool;
+}
+
+impl FloodRule for DistMatrix {
+    const CHARGE_FILTERED_POPS: bool = false;
+
+    #[inline(always)]
+    fn admit(
+        &mut self,
+        v: NodeId,
+        row: u32,
+        d: Weight,
+        pred: Option<NodeId>,
+        mut retire: impl FnMut(Weight, u32),
+    ) -> bool {
+        let old = self.get_row(row as usize, v);
+        if d >= old {
+            return false;
         }
+        if old != INF {
+            retire(old, row);
+        }
+        self.set_row(row as usize, v, d, pred);
+        true
+    }
+}
+
+impl FloodRule for DetectState {
+    const CHARGE_FILTERED_POPS: bool = true;
+
+    /// Updates the best/top structures; fresh means the entry survived
+    /// truncation. A self-seed is its own predecessor. The scalar kernel
+    /// passes a no-op `retire` and skips stale heap entries lazily at pop
+    /// time.
+    #[inline(always)]
+    fn admit(
+        &mut self,
+        v: NodeId,
+        row: u32,
+        d: Weight,
+        pred: Option<NodeId>,
+        mut retire: impl FnMut(Weight, u32),
+    ) -> bool {
+        let slot = &mut self.best[v * self.rows + row as usize];
+        let old = slot.0;
+        // Admitted distances never reach `INF` (announcements assert
+        // against saturation), so the absent sentinel can only lose here.
+        if old <= d {
+            return false;
+        }
+        *slot = (d, pred.unwrap_or(v));
+        let top = &mut self.top[v];
+        if old != INF {
+            // The superseded entry may already have been truncated away.
+            if let Ok(i) = top.binary_search(&(old, row)) {
+                top.remove(i);
+            }
+            retire(old, row);
+        }
+        let pos = top.binary_search(&(d, row)).unwrap_err();
+        top.insert(pos, (d, row));
+        while top.len() > self.sigma {
+            let worst = top.pop().expect("nonempty");
+            retire(worst.0, worst.1);
+        }
+        // Forward only if the entry survived truncation (it did exactly
+        // when it landed inside the first σ slots).
+        pos < self.sigma
+    }
+}
+
+/// The bitset flood loop shared by both primitives, at every latency:
+/// per-node [`BitFrontier`] outboxes (64 source rows per word, maintained
+/// eagerly so every pop is fresh), a [`CalendarRing`] standing in for the
+/// scalar engine's transit heap, and each round's traffic charged in one
+/// `Network::charge_flood_round` pass. Executes the exact scalar
+/// schedule — same pops, same sends, same delivery order, same
+/// predecessor tie-breaks — without the per-message queue machinery.
+///
+/// A send over a hop with latency `ℓ ≥ 1` is charged as a transfer in
+/// its send round but parked `ℓ` rounds ahead in the ring; zero-latency
+/// sends are delivered in the send round itself, *before* that round's
+/// calendar expiries — exactly the scalar `step_into` order (same-round
+/// completions in send order, then transit pops in `(arrival,
+/// send-sequence)` order, which the ring reproduces). A unit-latency
+/// flood never parks anything.
+///
+/// Superseded announcements move into a per-node *ghost* frontier rather
+/// than vanishing: the scalar heap keeps stale entries until a pop walks
+/// past them, and "heap nonempty" is its re-pend test — so ghost
+/// occupancy must feed the bitset re-pend test too, or nodes would enter
+/// the pending list at different positions and the send order (observed
+/// by the event log) would drift.
+///
+/// Round control mirrors the scalar loops branch for branch: a round
+/// with sends (or, under [`FloodRule::CHARGE_FILTERED_POPS`], with pops)
+/// is charged; filtered pops with pending work left otherwise spin
+/// without charging a round; and when nothing was sent but arrivals are
+/// still in flight, [`CalendarRing::next_arrival`] fast-forwards to the
+/// next expiry (`step_fast_into` in the scalar path) — a charged round
+/// with zero transfers, messages only.
+fn ring_kernel<R: FloodRule>(
+    n: usize,
+    sources: &[NodeId],
+    max_dist: Weight,
+    plan: &FloodPlan,
+    net: &mut Network<Announce>,
+    rule: &mut R,
+) {
+    let mut q = Frontiers::new(n);
+    let mut ring: CalendarRing<RingMsg> = CalendarRing::new(plan.max_latency());
+    for (row, &s) in sources.iter().enumerate() {
+        q.offer(rule, s, row as u32, 0, None);
     }
 
+    // This round's traffic: every charged link in send order, and the
+    // messages *delivered* this round — zero-latency sends first (send
+    // order), then calendar expiries.
     let mut links: Vec<u32> = Vec::new();
-    let mut deliv: Vec<(u32, u32, Weight, u32)> = Vec::new();
+    let mut deliv: Vec<RingMsg> = Vec::new();
     loop {
-        let acting = std::mem::take(&mut pending);
+        let acting = q.take_pending();
         links.clear();
         deliv.clear();
-        let mut any_action = false;
+        // If anything is sent this iteration, it is charged at this round.
+        let send_round = net.round() + 1;
+        let mut popped = false;
         for v in acting {
-            pending_flag[v] = false;
-            // As in the BFS kernel: replay the scalar pop walk's ghost
-            // consumption so the re-pend test below matches its "heap
-            // nonempty, stale entries included" semantics.
-            let Some((d, row)) = outbox[v].pop_min() else {
-                ghost[v].clear();
+            let Some((d, row)) = q.pop(v) else {
                 continue;
             };
-            ghost[v].drain_below(d, row);
-            any_action = true;
+            popped = true;
             for hop in plan.of(v) {
                 let cand = add_dist(d, hop.dist_add);
-                if cand > h {
+                if cand > max_dist {
                     continue;
                 }
                 links.push(hop.link);
-                deliv.push((hop.to, row, cand, v as u32));
+                let msg = (hop.link, hop.to, row, cand, v as u32);
+                if hop.latency == 0 {
+                    deliv.push(msg);
+                } else {
+                    ring.push(send_round + hop.latency, msg);
+                }
             }
-            if (!outbox[v].is_empty() || !ghost[v].is_empty()) && !pending_flag[v] {
-                pending_flag[v] = true;
-                pending.push(v);
-            }
+            q.repend_if_queued(v);
         }
 
-        if !any_action {
+        let round = if !links.is_empty() || (R::CHARGE_FILTERED_POPS && popped) {
+            send_round
+        } else if q.any_pending() {
+            // Entirely-filtered pops: no traffic, no round charged.
+            continue;
+        } else if let Some(next) = ring.next_arrival() {
+            // Nothing to send and nothing ever will be unless an arrival
+            // lands: fast-forward to the next expiry.
+            next
+        } else {
             break;
-        }
-        net.charge_flood_round(&links);
-        for &(to, row, cand, from) in &deliv {
-            let v = to as usize;
-            let (ob, gh) = (&mut outbox[v], &mut ghost[v]);
-            let retire = |d, r| {
-                if ob.remove(d, r) {
-                    gh.insert(d, r);
-                }
-            };
-            if state.admit(v, row, cand, from as usize, retire) {
-                outbox[v].insert(cand, row);
-                if !pending_flag[v] {
-                    pending_flag[v] = true;
-                    pending.push(v);
-                }
-            }
+        };
+        ring.drain_round_into(round, &mut deliv);
+        net.charge_flood_round(round, &links, deliv.iter().map(|m| m.0));
+        for &(_, to, row, cand, from) in &deliv {
+            q.offer(rule, to as usize, row, cand, Some(from as usize));
         }
     }
 }
 
-/// The calendar-queue detection loop for latency-stretched floods:
-/// [`detect_kernel_bitset`]'s eager frontier/ghost discipline with a
-/// [`CalendarRing`] in place of the engine's transit heap, delivering
-/// zero-latency sends before the round's calendar expiries exactly as the
-/// stretched BFS kernel does (see [`bfs_kernel_stretched`]).
-///
-/// Detection's round-control contract differs from BFS and is mirrored
-/// here: a round is charged whenever any node popped a fresh announcement
-/// — even if the budget then filtered every send, in which case the
-/// charge carries zero links (an idle `step_into`: the round advances,
-/// nothing is transferred, and that round's arrivals still land).
-fn detect_kernel_stretched(
-    srcs: &[NodeId],
-    h: Weight,
-    plan: &FloodPlan,
-    net: &mut Network<(u32, Weight)>,
-    state: &mut DetectState,
-) {
-    let n = state.n;
-    let mut outbox: Vec<BitFrontier> = vec![BitFrontier::default(); n];
-    let mut ghost: Vec<BitFrontier> = vec![BitFrontier::default(); n];
-    let mut pending: Vec<NodeId> = Vec::new();
-    let mut pending_flag = vec![false; n];
-    let mut ring: CalendarRing<RingMsg> = CalendarRing::new(plan.max_latency());
+/// The bitset kernel's per-node queues: fresh announcements (`outbox`),
+/// superseded ones the scalar heap would still hold (`ghost`), and the
+/// nodes to act next round, in the order they became pending. The kernel
+/// reaches them only through the methods below.
+struct Frontiers {
+    outbox: Vec<BitFrontier>,
+    ghost: Vec<BitFrontier>,
+    pending: Vec<NodeId>,
+    pending_flag: Vec<bool>,
+}
 
-    for (row, &s) in srcs.iter().enumerate() {
-        let (ob, gh) = (&mut outbox[s], &mut ghost[s]);
-        let retire = |d, r| {
-            if ob.remove(d, r) {
-                gh.insert(d, r);
-            }
-        };
-        if state.admit(s, row as u32, 0, s, retire) {
-            outbox[s].insert(0, row as u32);
-            if !pending_flag[s] {
-                pending_flag[s] = true;
-                pending.push(s);
-            }
+impl Frontiers {
+    fn new(n: usize) -> Frontiers {
+        Frontiers {
+            outbox: vec![BitFrontier::default(); n],
+            ghost: vec![BitFrontier::default(); n],
+            pending: Vec::new(),
+            pending_flag: vec![false; n],
         }
     }
 
-    let mut links: Vec<u32> = Vec::new();
-    let mut dlinks: Vec<u32> = Vec::new();
-    let mut deliv: Vec<(u32, u32, Weight, u32)> = Vec::new();
-    let mut expiries: Vec<RingMsg> = Vec::new();
-    loop {
-        let acting = std::mem::take(&mut pending);
-        links.clear();
-        dlinks.clear();
-        deliv.clear();
-        let send_round = net.round() + 1;
-        let mut any_action = false;
-        for v in acting {
-            pending_flag[v] = false;
-            let Some((d, row)) = outbox[v].pop_min() else {
-                ghost[v].clear();
-                continue;
-            };
-            ghost[v].drain_below(d, row);
-            any_action = true;
-            for hop in plan.of(v) {
-                let cand = add_dist(d, hop.dist_add);
-                if cand > h {
-                    continue;
-                }
-                links.push(hop.link);
-                if hop.latency == 0 {
-                    dlinks.push(hop.link);
-                    deliv.push((hop.to, row, cand, v as u32));
-                } else {
-                    ring.push(
-                        send_round + hop.latency,
-                        (hop.link, hop.to, row, cand, v as u32),
-                    );
-                }
-            }
-            if (!outbox[v].is_empty() || !ghost[v].is_empty()) && !pending_flag[v] {
-                pending_flag[v] = true;
-                pending.push(v);
-            }
+    /// Queues `v` to act next round unless it already is.
+    fn pend(&mut self, v: NodeId) {
+        if !self.pending_flag[v] {
+            self.pending_flag[v] = true;
+            self.pending.push(v);
         }
+    }
 
-        let round = if any_action {
-            // Charged even when the budget filtered every send: the
-            // scalar loop still steps the engine for a popped node.
-            send_round
-        } else {
-            let Some(next) = ring.next_arrival(net.round()) else {
-                break;
-            };
-            next
+    /// Takes the nodes that act this round, in the order they became
+    /// pending.
+    fn take_pending(&mut self) -> Vec<NodeId> {
+        std::mem::take(&mut self.pending)
+    }
+
+    fn any_pending(&self) -> bool {
+        !self.pending.is_empty()
+    }
+
+    /// Pops the smallest announcement of a node taken from the pending
+    /// list. Eager maintenance means no stale entries, so this is the
+    /// smallest fresh one; the scalar pop walk would have consumed the
+    /// stale (ghost) entries ahead of it — or the whole heap when nothing
+    /// fresh remains.
+    fn pop(&mut self, v: NodeId) -> Option<(Weight, u32)> {
+        self.pending_flag[v] = false;
+        let Some((d, row)) = self.outbox[v].pop_min() else {
+            self.ghost[v].clear();
+            return None;
         };
-        expiries.clear();
-        ring.drain_round_into(round, &mut expiries);
-        for &(link, to, row, cand, from) in &expiries {
-            dlinks.push(link);
-            deliv.push((to, row, cand, from));
+        self.ghost[v].drain_below(d, row);
+        Some((d, row))
+    }
+
+    /// Re-pends `v` while it still holds announcements, stale ones
+    /// included: "heap nonempty" is the scalar re-pend test.
+    fn repend_if_queued(&mut self, v: NodeId) {
+        if !self.outbox[v].is_empty() || !self.ghost[v].is_empty() {
+            self.pend(v);
         }
-        net.charge_stretched_flood_round(round, &links, &dlinks);
-        for &(to, row, cand, from) in &deliv {
-            let v = to as usize;
-            let (ob, gh) = (&mut outbox[v], &mut ghost[v]);
-            let retire = |d, r| {
-                if ob.remove(d, r) {
-                    gh.insert(d, r);
-                }
-            };
-            if state.admit(v, row, cand, from as usize, retire) {
-                outbox[v].insert(cand, row);
-                if !pending_flag[v] {
-                    pending_flag[v] = true;
-                    pending.push(v);
-                }
+    }
+
+    /// Offers `(row, d)` at `v` through `rule`; a fresh announcement joins
+    /// the outbox and pends `v`. Displaced announcements become ghosts
+    /// (the scalar heap would keep them as stale entries); rows already
+    /// forwarded have no bit to move. Forced inline, with both
+    /// [`FloodRule::admit`] impls: this is the per-delivery hot path, and
+    /// an outlined call here cost the unit-latency BFS about 30% (2-vCPU
+    /// x86-64 host, n = 1024).
+    #[inline(always)]
+    fn offer<R: FloodRule>(
+        &mut self,
+        rule: &mut R,
+        v: NodeId,
+        row: u32,
+        d: Weight,
+        pred: Option<NodeId>,
+    ) {
+        let (ob, gh) = (&mut self.outbox[v], &mut self.ghost[v]);
+        let retire = |old, r| {
+            if ob.remove(old, r) {
+                gh.insert(old, r);
             }
+        };
+        if rule.admit(v, row, d, pred, retire) {
+            self.outbox[v].insert(d, row);
+            self.pend(v);
         }
     }
 }
@@ -1214,7 +1010,7 @@ mod tests {
     fn zero_weight_edges_identical_across_kernels() {
         // `dist_add = 0` with `stretch = 1` must cost one round and add
         // zero distance in BOTH kernels. All weights ≤ 1, so the flood is
-        // unit-latency and the plain (ring-free) bitset kernel engages.
+        // unit-latency and the bitset kernel never parks a send.
         let g = Graph::from_edges(
             6,
             Orientation::Directed,
@@ -1252,10 +1048,10 @@ mod tests {
 
     #[test]
     fn stretched_flood_identical_across_kernels() {
-        // Latency-stretched floods now have a bitset kernel too (the
-        // calendar ring): pin digests, predecessors, and every ledger
-        // count against the scalar engine-stepped reference, for both a
-        // bounded and an unbounded search.
+        // Latency-stretched floods park sends in the calendar ring: pin
+        // digests, predecessors, and every ledger count against the
+        // scalar engine-stepped reference, for both a bounded and an
+        // unbounded search.
         let g = connected_gnm(
             44,
             100,
@@ -1570,7 +1366,7 @@ mod tests {
     #[test]
     fn detection_identical_across_kernels() {
         // Unit-weight flood: the bitset kernel engages by default; pin
-        // that the scalar fallback produces identical lists, paths, and
+        // that the scalar reference produces identical lists, paths, and
         // ledger counts.
         let g = connected_gnm(48, 70, Orientation::Undirected, WeightRange::unit(), 33);
         let sources: Vec<NodeId> = (0..48).step_by(3).collect();

@@ -14,7 +14,7 @@
 //!   straight from a trace, so the bytes really must match),
 //! - the ledger's hot links and round/word/message totals,
 //! - the [`DistMatrix`] digest (distances AND predecessors) and the
-//!   full detection lists,
+//!   full detection lists, plain and stretched,
 //! - the `MWC_TRACE_EVENTS` event log, line for line.
 //!
 //! The kernel knob is a process global, so runs take a lock and restore
@@ -26,8 +26,8 @@
 use std::sync::{Mutex, MutexGuard};
 
 use mwc_congest::{
-    broadcast, multi_source_bfs, set_flood_kernel, source_detection, BfsTree, DetectionLists,
-    EventCapture, FloodKernel, Ledger, MultiBfsSpec,
+    broadcast, flood_engagement, multi_source_bfs, set_flood_kernel, source_detection, BfsTree,
+    DetectionLists, EventCapture, FloodKernel, Ledger, MultiBfsSpec, INF,
 };
 use mwc_graph::generators::{connected_gnm, ring_with_chords, WeightRange};
 use mwc_graph::seq::Direction;
@@ -65,16 +65,16 @@ struct Observed {
     unit_digest: u64,
     stretched_digest: u64,
     detection: DetectionLists,
+    stretched_detection: DetectionLists,
     hot_links: Vec<((NodeId, NodeId), u64)>,
     totals: (u64, u64, u64),
 }
 
 /// Runs the flood-primitive pipeline on `g` under `kernel` and captures
-/// every observable artifact: a plain multi-source BFS (the distance-
-/// bucketed bitset fast path when the kernel allows), a latency-stretched
-/// BFS over the edge weights (the calendar-queue bitset kernel when the
-/// kernel allows — stretched floods are no longer a scalar-only path),
-/// and a source detection.
+/// every observable artifact: a plain multi-source BFS, a
+/// latency-stretched BFS over the edge weights (sends parked in the
+/// bitset kernel's calendar ring), and a source detection both plain and
+/// stretched.
 fn observe(g: &Graph, direction: Direction, latency: &[Weight], kernel: FloodKernel) -> Observed {
     let _cfg = with_kernel(kernel);
     let cap = EventCapture::memory();
@@ -94,6 +94,16 @@ fn observe(g: &Graph, direction: Direction, latency: &[Weight], kernel: FloodKer
     };
     let stretched = multi_source_bfs(g, &sources, &stretched_spec, "probe/stretched", &mut ledger);
     let det = source_detection(g, &sources, 64, 3, direction, None, "probe", &mut ledger);
+    let stretched_det = source_detection(
+        g,
+        &sources,
+        INF - 1,
+        3,
+        direction,
+        Some(latency),
+        "probe/stretched",
+        &mut ledger,
+    );
 
     let mut record = RunRecord::from_trace(
         "kernel_probe",
@@ -108,6 +118,7 @@ fn observe(g: &Graph, direction: Direction, latency: &[Weight], kernel: FloodKer
         unit_digest: unit.digest(),
         stretched_digest: stretched.digest(),
         detection: det.lists,
+        stretched_detection: stretched_det.lists,
         hot_links: ledger.hot_links(8),
         totals: (ledger.rounds, ledger.words, ledger.messages),
     }
@@ -123,8 +134,8 @@ fn weight_latency(g: &Graph) -> Vec<Weight> {
 /// Raw edge weights as the latency table, 0 entries included: a `w = 0`
 /// edge then adds zero distance but still takes one round to cross
 /// (`FloodPlan` clamps travel time, not distance), and the whole flood
-/// stays unit-latency when no weight exceeds 1 — so the *bitset* kernel
-/// handles the zero-distance aliasing, not the scalar fallback.
+/// stays unit-latency when no weight exceeds 1 — the zero-distance
+/// aliasing case for the bitset kernel's frontier.
 fn raw_weight_latency(g: &Graph) -> Vec<Weight> {
     g.edges().iter().map(|e| e.weight).collect()
 }
@@ -261,6 +272,7 @@ fn observe_broadcast(
         unit_digest: digest,
         stretched_digest: all.len() as u64,
         detection: DetectionLists::default(),
+        stretched_detection: DetectionLists::default(),
         hot_links: ledger.hot_links(8),
         totals: (ledger.rounds, ledger.words, ledger.messages),
     }
@@ -324,11 +336,14 @@ fn broadcast_downcast_is_kernel_invariant() {
 
 /// Heavy-tail latencies: one graph mixing zero-weight edges (unit travel,
 /// zero distance — the deliver-before-expiry aliasing case), stretch-1
-/// edges, and max-scale latencies hundreds of rounds long. The stretched
-/// run stresses every calendar-ring behavior at once — deep parking,
-/// quiet-gap fast-forwards across empty buckets, same-round collisions of
-/// fast and slow arrivals — and the whole [`Observed`] surface must still
-/// be byte-identical across `MWC_FLOOD_KERNEL=scalar|bitset`.
+/// edges, latencies hundreds of rounds long, and a rare class whose
+/// stretch exceeds the calendar ring's window (65 536 buckets), so its
+/// arrivals wait in the ring's overflow level. The stretched runs stress
+/// every calendar-ring behavior at once — deep parking, overflow
+/// promotion, quiet-gap fast-forwards across empty buckets and past the
+/// whole window, same-round collisions of fast and slow arrivals — and
+/// the whole [`Observed`] surface must still be byte-identical across
+/// `MWC_FLOOD_KERNEL=scalar|bitset`.
 #[test]
 fn heavy_tail_latency_family_is_kernel_invariant() {
     for seed in [4, 19] {
@@ -340,19 +355,21 @@ fn heavy_tail_latency_family_is_kernel_invariant() {
             seed,
         );
         // Remap weights onto a heavy-tailed scale keyed by edge index:
-        // mostly short (0 / 1 / 2), a thick tail of 37s, and rare
-        // 211-round outliers that dwarf the rest of the schedule.
+        // mostly short (0 / 1 / 2), a thick tail of 37s, rare 211-round
+        // outliers that dwarf the rest of the schedule, and rarer
+        // 100 003-round edges beyond the ring's window.
         let edges: Vec<(usize, usize, Weight)> = base
             .edges()
             .iter()
             .enumerate()
             .map(|(i, e)| {
-                let w = match i % 9 {
-                    0 => 0,
-                    1..=3 => 1,
-                    4 | 5 => 2,
-                    6 | 7 => 37,
-                    _ => 211,
+                let w = match i % 19 {
+                    0 | 9 => 0,
+                    1..=3 | 10..=12 => 1,
+                    4 | 5 | 13 | 14 => 2,
+                    6 | 7 | 15 | 16 => 37,
+                    8 | 17 => 211,
+                    _ => 100_003,
                 };
                 (e.u, e.v, w)
             })
@@ -360,8 +377,8 @@ fn heavy_tail_latency_family_is_kernel_invariant() {
         let g = Graph::from_edges(base.n(), Orientation::Directed, edges).unwrap();
         let lat = raw_weight_latency(&g);
         assert!(
-            lat.contains(&0) && lat.contains(&1) && lat.contains(&211),
-            "family must mix zero-weight, stretch-1, and max-scale edges"
+            lat.contains(&0) && lat.contains(&1) && lat.contains(&211) && lat.contains(&100_003),
+            "family must mix zero-weight, stretch-1, max-scale and beyond-window edges"
         );
         assert_kernel_invariant(&g, Direction::Forward, &lat, "heavy-tail/connected_gnm");
         assert_kernel_invariant(
@@ -370,5 +387,33 @@ fn heavy_tail_latency_family_is_kernel_invariant() {
             &lat,
             "heavy-tail-reverse/connected_gnm",
         );
+
+        // No latency table sends a flood back to the scalar reference:
+        // the bitset kernel serves the beyond-window stretch itself.
+        let _cfg = with_kernel(FloodKernel::Bitset);
+        let (bitset0, scalar0) = flood_engagement();
+        let spec = MultiBfsSpec {
+            latency: Some(&lat),
+            ..MultiBfsSpec::default()
+        };
+        let mut ledger = Ledger::new();
+        let _ = multi_source_bfs(&g, &[0, 5], &spec, "probe/overflow", &mut ledger);
+        let _ = source_detection(
+            &g,
+            &[0, 5],
+            INF - 1,
+            2,
+            Direction::Forward,
+            Some(&lat),
+            "probe/overflow",
+            &mut ledger,
+        );
+        let (bitset1, scalar1) = flood_engagement();
+        assert_eq!(
+            scalar1 - scalar0,
+            0,
+            "a beyond-window flood ran the scalar path"
+        );
+        assert!(bitset1 - bitset0 >= 2, "both floods ran the bitset kernel");
     }
 }

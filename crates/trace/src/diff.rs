@@ -413,16 +413,16 @@ pub fn diff_records(base: &RunRecord, fresh: &RunRecord, cfg: &DiffConfig) -> Ru
     // covers 0 = not recorded and 1 = explicit default): any parallel
     // schedule moves allocations onto worker threads and the counts
     // become schedule noise. They are also skipped against baselines
-    // with no alloc data (pre-v6, or recorded without the counting
-    // allocator) — a zero-vs-nonzero diff there would gate on
-    // instrumentation coverage, not on performance — and when the two
-    // records ran different flood kernels: the kernels must agree on
-    // every simulated-cost metric, but their host allocation profiles
-    // legitimately differ (the whole point of the bitset kernel), so a
-    // cross-kernel pair compares like a cross-jobs pair. An empty stamp
-    // (pre-v7 record) matches anything, keeping the alloc gate armed
-    // for default-vs-default runs against older baselines. `wall_ns`
-    // and `peak_alloc_bytes` are never compared (`wall_ms` convention).
+    // with no alloc data (recorded without the counting allocator, or
+    // built outside the bench recorder) — a zero-vs-nonzero diff there
+    // would gate on instrumentation coverage, not on performance — and
+    // when the two records ran different flood kernels: the kernels must
+    // agree on every simulated-cost metric, but their host allocation
+    // profiles legitimately differ (the whole point of the bitset
+    // kernel), so a cross-kernel pair compares like a cross-jobs pair.
+    // An empty stamp (a record built outside the bench recorder) matches
+    // anything, keeping the alloc gate armed. `wall_ns` and
+    // `peak_alloc_bytes` are never compared (`wall_ms` convention).
     let same_kernel = base.flood_kernel.is_empty()
         || fresh.flood_kernel.is_empty()
         || base.flood_kernel == fresh.flood_kernel;
@@ -1072,8 +1072,9 @@ mod tests {
         // Same alloc regression, but the two records ran different flood
         // kernels: allocation profiles legitimately differ between
         // kernels, so the pair compares like a cross-jobs pair. An empty
-        // stamp (pre-v7 baseline) matches anything and keeps the gate
-        // armed; every simulated-cost metric still gates regardless.
+        // stamp (a record built outside the bench recorder) matches
+        // anything and keeps the gate armed; every simulated-cost metric
+        // still gates regardless.
         for (base_k, fresh_k, should_gate) in [
             ("bitset", "scalar", false),
             ("scalar", "bitset", false),
@@ -1106,8 +1107,8 @@ mod tests {
         let d = diff_records(&base, &fresh, &DiffConfig::default());
         assert!(d.has_regression(), "{}", d.render());
         // Engagement tallies are informational, not kernel identity: two
-        // same-kernel records with wildly different tallies (e.g. one run
-        // raised MWC_FLOOD_RING_MAX mid-series) still arm the alloc gate.
+        // same-kernel records with wildly different tallies still arm the
+        // alloc gate.
         let mut base = record();
         base.flood_kernel = "bitset".to_owned();
         base.floods_bitset = 40;
@@ -1121,8 +1122,8 @@ mod tests {
 
     #[test]
     fn alloc_is_skipped_against_baselines_without_alloc_data() {
-        // Pre-v6 baseline (or no counting allocator): alloc fields parse
-        // as 0; a fresh profiled record must diff clean against it.
+        // Baseline recorded without the counting allocator: alloc fields
+        // are 0; a fresh profiled record must diff clean against it.
         let mut base = record();
         base.alloc_bytes = 0;
         base.alloc_count = 0;

@@ -58,7 +58,7 @@ pub use export::{chrome_trace, validate_chrome_trace, TraceSummary};
 pub use metrics::{validate_openmetrics, MetricsRegistry};
 pub use record::{
     audit_margins, AuditMargin, CacheTally, CongestionSummary, RunRecord, SpanMetrics, WorkerTally,
-    RUN_RECORD_SCHEMA, RUN_RECORD_SCHEMA_V1,
+    RUN_RECORD_SCHEMA,
 };
 
 /// One closed span: a node of the trace tree.

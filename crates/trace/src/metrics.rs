@@ -172,7 +172,7 @@ const FAMILIES: &[(&str, &str, &str)] = &[
     (
         "mwc_info_floods_bitset",
         "gauge",
-        "Flood primitives the run dispatched to a bitset kernel (unit-latency or calendar-queue stretched). Informational.",
+        "Flood primitives the run dispatched to the bitset (calendar-ring) kernel. Informational.",
     ),
     (
         "mwc_info_floods_scalar",

@@ -187,7 +187,16 @@ fn main() -> ExitCode {
             };
             report("approx", &g, &out, o.verbose);
         }
-        "girth" => report("girth", &g, &approx_girth(&g, &params), o.verbose),
+        "girth" => {
+            if g.is_directed() || !g.is_unit_weight() {
+                eprintln!(
+                    "girth needs an undirected unweighted graph; use `approx` for a directed \
+                     or weighted one"
+                );
+                return ExitCode::from(2);
+            }
+            report("girth", &g, &approx_girth(&g, &params), o.verbose);
+        }
         "detect" => report(
             &format!("detect(q={})", o.q),
             &g,
