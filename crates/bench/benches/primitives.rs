@@ -9,6 +9,7 @@ use mwc_bench::stopwatch::Suite;
 use mwc_congest::program::{run_programs, FloodMax};
 use mwc_congest::{
     convergecast_min, multi_source_bfs, source_detection, BfsTree, Ledger, MultiBfsSpec, Network,
+    RoundOutput,
 };
 use mwc_graph::generators::{connected_gnm, grid, WeightRange};
 use mwc_graph::seq::Direction;
@@ -86,7 +87,7 @@ fn bench_raw_send_throughput(suite: &mut Suite) {
                 net.send(v, w, 0, 450).unwrap();
             }
         }
-        while net.step_fast().is_some() {}
+        while net.step(&mut RoundOutput::default()) {}
         black_box(net.stats().words)
     });
 }

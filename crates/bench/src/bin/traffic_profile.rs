@@ -34,7 +34,7 @@ fn flood_with_delays(g: &mwc_graph::Graph, sources: &[NodeId], delays: &[u64], h
     }
     let mut started: Vec<bool> = vec![false; sources.len()];
     let mut out = mwc_congest::RoundOutput::default();
-    while net.step_bulk_into(&mut out) {
+    while net.step(&mut out) {
         for v in out.wakeups.drain(..) {
             for (i, &s) in sources.iter().enumerate() {
                 if s == v && !started[i] {

@@ -165,7 +165,7 @@ pub fn save_json(relpath: &str, value: &Json) -> PathBuf {
 }
 
 /// Records one benchmark binary's run as a canonical
-/// [`RunRecord`](mwc_trace::RunRecord) under `results/run_records/`.
+/// [`RunRecord`] under `results/run_records/`.
 ///
 /// Wraps an in-memory [`TraceSession`] so every span the algorithms open
 /// during the run is captured, collects [`Ledger`] congestion summaries
@@ -350,7 +350,7 @@ mod tests {
                     .unwrap();
             let mut net: mwc_congest::Network<u8> = mwc_congest::Network::new(&g);
             net.send(0, 1, 1, 1).unwrap();
-            net.step();
+            net.step(&mut mwc_congest::RoundOutput::default());
             let mut ledger = Ledger::new();
             ledger.absorb("hop", &net);
             rec.congestion("hop", &ledger);

@@ -20,6 +20,16 @@
 //! - Local computation is free; nodes may schedule **wakeups** to act at a
 //!   future round without receiving a message (used for the random-delay
 //!   scheduling of Algorithm 3).
+//!
+//! # Advancing
+//!
+//! [`Network::step`] is the one way to advance the engine. It executes
+//! the next round in which something can be observed, jumping over quiet
+//! gaps and bulk-skipping the middle of multi-word transfers. Skipped
+//! rounds still count in the round counter and in every statistic, so
+//! the complexity measure equals that of executing every round in turn.
+//! A node that must act at a given round without receiving a message
+//! schedules a wakeup for it.
 
 use mwc_graph::{Graph, NodeId};
 use std::cmp::Reverse;
@@ -68,9 +78,9 @@ pub fn hist_bucket(words: u64) -> usize {
 
 /// Aggregate traffic statistics of a [`Network`].
 ///
-/// `PartialEq` is derived so differential tests can assert that bulk
-/// advancement ([`Network::step_bulk`]) produces *bit-identical* stats to
-/// single-stepping.
+/// `PartialEq` is derived so differential tests can assert that
+/// [`Network::step`]'s gap jumps and bulk skips produce *bit-identical*
+/// stats to executing every round one by one.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Total words transferred over all links.
@@ -90,7 +100,7 @@ pub struct NetStats {
     /// congestion timeline used by the scheduling ablations.
     pub words_per_round: Vec<(u64, u64)>,
     /// Rounds in which at least one word was transferred (quiet rounds
-    /// skipped by [`Network::step_fast`] still count toward `round()` but
+    /// jumped over by [`Network::step`] still count toward `round()` but
     /// not here).
     pub active_rounds: u64,
     /// The largest number of words any single round transferred — the peak
@@ -108,116 +118,11 @@ pub struct NetStats {
     pub round_histogram: [u64; HIST_BUCKETS],
 }
 
-impl NetStats {
-    /// Folds `other` into `self` as if one network had recorded both stat
-    /// sets. **Order-independent**: `a.merge(&b)` and `b.merge(&a)` give
-    /// field-identical results (pinned by
-    /// `netstats_merge_is_order_independent`), so capture-and-graft
-    /// fan-ins — per-shard fragments, per-item sweep stats — may combine
-    /// in completion order without leaking it into reports.
-    ///
-    /// Counters (`words`, `messages`, `per_link_words`) add;
-    /// `queue_high_water` takes the max — backpressure high-waters don't
-    /// stack, the worst queue either side saw is the worst overall — and
-    /// `per_link_queue_high` takes the elementwise max for the same
-    /// reason. The
-    /// congestion timeline is merge-joined by round, summing rounds both
-    /// sides were active in. When **both** sides carry a timeline, the
-    /// round-derived fields (`active_rounds`, `round_histogram`,
-    /// `max_words_in_round`, `peak_round`) are recomputed from the merged
-    /// timeline — the only overlap-exact answer, and the fix for the
-    /// order-dependent folds a naive merge inherits (a round active on
-    /// both sides is one round, not two, and two half-peaks can sum into
-    /// a new global peak). Without both timelines overlaps are invisible,
-    /// so those fields fold conservatively: counts add, and the peak
-    /// keeps the larger max, ties breaking toward the earlier round.
-    pub fn merge(&mut self, other: &NetStats) {
-        self.words += other.words;
-        self.messages += other.messages;
-        if self.per_link_words.len() < other.per_link_words.len() {
-            self.per_link_words.resize(other.per_link_words.len(), 0);
-        }
-        for (acc, w) in self.per_link_words.iter_mut().zip(&other.per_link_words) {
-            *acc += w;
-        }
-        if self.per_link_queue_high.len() < other.per_link_queue_high.len() {
-            self.per_link_queue_high
-                .resize(other.per_link_queue_high.len(), 0);
-        }
-        for (acc, q) in self
-            .per_link_queue_high
-            .iter_mut()
-            .zip(&other.per_link_queue_high)
-        {
-            *acc = (*acc).max(*q);
-        }
-        self.queue_high_water = self.queue_high_water.max(other.queue_high_water);
-
-        let both_timelines = !self.words_per_round.is_empty() && !other.words_per_round.is_empty();
-        let (a, b) = (&self.words_per_round, &other.words_per_round);
-        let mut merged = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() || j < b.len() {
-            merged.push(match (a.get(i).copied(), b.get(j).copied()) {
-                (Some((ra, wa)), Some((rb, _))) if ra < rb => {
-                    i += 1;
-                    (ra, wa)
-                }
-                (Some((ra, _)), Some((rb, wb))) if rb < ra => {
-                    j += 1;
-                    (rb, wb)
-                }
-                (Some((ra, wa)), Some((_, wb))) => {
-                    i += 1;
-                    j += 1;
-                    (ra, wa + wb)
-                }
-                (Some((ra, wa)), None) => {
-                    i += 1;
-                    (ra, wa)
-                }
-                (None, Some((rb, wb))) => {
-                    j += 1;
-                    (rb, wb)
-                }
-                (None, None) => unreachable!("loop guard"),
-            });
-        }
-        if both_timelines {
-            self.active_rounds = merged.len() as u64;
-            self.round_histogram = [0; HIST_BUCKETS];
-            self.max_words_in_round = 0;
-            self.peak_round = 0;
-            for &(r, w) in &merged {
-                self.round_histogram[hist_bucket(w)] += 1;
-                if w > self.max_words_in_round {
-                    self.max_words_in_round = w;
-                    self.peak_round = r;
-                }
-            }
-        } else {
-            self.active_rounds += other.active_rounds;
-            for (acc, c) in self.round_histogram.iter_mut().zip(&other.round_histogram) {
-                *acc += c;
-            }
-            let other_peaks = other.max_words_in_round > self.max_words_in_round
-                || (other.max_words_in_round == self.max_words_in_round
-                    && other.max_words_in_round > 0
-                    && other.peak_round < self.peak_round);
-            if other_peaks {
-                self.max_words_in_round = other.max_words_in_round;
-                self.peak_round = other.peak_round;
-            }
-        }
-        self.words_per_round = merged;
-    }
-}
-
 /// A queued message. Endpoints are *not* stored: queues are per-link, so
 /// `from`/`to` are recovered from the link table at delivery time, keeping
 /// the struct (and the per-send copy) as small as the payload allows.
-/// `pub(crate)` so the sharded round kernel ([`crate::shard`]) can walk
-/// queue slices directly.
+/// `pub(crate)` so the sharded round kernel can walk queue slices
+/// directly.
 pub(crate) struct InFlight<M> {
     pub(crate) payload: M,
     /// Total words of the message (for the event log).
@@ -235,17 +140,19 @@ pub(crate) struct InFlight<M> {
 /// # Examples
 ///
 /// ```
-/// use mwc_congest::{Network};
+/// use mwc_congest::{Network, RoundOutput};
 /// use mwc_graph::{Graph, Orientation};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let g = Graph::from_edges(3, Orientation::Undirected, [(0, 1, 1), (1, 2, 1)])?;
 /// let mut net: Network<&'static str> = Network::new(&g);
 /// net.send(0, 1, "hello", 1)?;
-/// let out = net.step();
+/// let mut out = RoundOutput::default();
+/// assert!(net.step(&mut out));
 /// assert_eq!(out.deliveries.len(), 1);
 /// assert_eq!(out.deliveries[0].payload, "hello");
 /// assert_eq!(net.round(), 1);
+/// assert!(!net.step(&mut out), "the network is idle");
 /// # Ok(())
 /// # }
 /// ```
@@ -277,12 +184,13 @@ pub struct Network<M> {
     history: bool,
     /// Sticky: set once any message longer than one word is enqueued.
     /// While false, every active link's head has exactly one word left, so
-    /// [`Network::step_bulk`] can skip its `O(active)` lookahead scan —
+    /// [`Network::step`] can skip its `O(active)` bulk lookahead scan —
     /// one-word workloads (BFS floods, source detection) pay nothing for
     /// the bulk path.
     any_multiword: bool,
     /// Recycled backing storage for the `still_active` rebuild in
-    /// [`Network::step_into`], so steady-state stepping allocates nothing.
+    /// [`Network::execute_round`], so steady-state stepping allocates
+    /// nothing.
     scratch_active: Vec<usize>,
     /// Sequence number in the message-event log, when logging is active
     /// (see [`crate::events`]); `None` keeps the logging path cost-free.
@@ -388,7 +296,7 @@ impl<M> Network<M> {
     /// any shard count, by construction: shards own disjoint link
     /// ranges, and the coordinator grafts their completions back in
     /// active-list order before anything order-sensitive happens (see
-    /// [`crate::shard`]). Rounds with fewer active links than
+    /// the `shard` module). Rounds with fewer active links than
     /// [`mwc_par::shard_threshold`] run sequentially; the threshold is
     /// pure scheduling policy.
     pub fn new_sharded(graph: &Graph, shards: usize) -> Self
@@ -474,10 +382,6 @@ impl<M> Network<M> {
             .map(|i| links[i].1)
     }
 
-    fn link(&self, from: NodeId, to: NodeId) -> Option<usize> {
-        self.link_id(from, to)
-    }
-
     /// Enqueues a `words`-word message from `from` to its neighbor `to`.
     /// Transfer begins on the next [`Network::step`]; delivery happens
     /// after `words` rounds of link occupancy (FIFO behind earlier
@@ -513,7 +417,9 @@ impl<M> Network<M> {
         words: u64,
         latency: u64,
     ) -> Result<(), SendError> {
-        let l = self.link(from, to).ok_or(SendError::NoLink { from, to })?;
+        let l = self
+            .link_id(from, to)
+            .ok_or(SendError::NoLink { from, to })?;
         self.send_on_link(l, payload, words, latency);
         Ok(())
     }
@@ -565,7 +471,7 @@ impl<M> Network<M> {
     }
 
     /// The round at which something next happens, if anything is pending.
-    pub fn next_event_round(&self) -> Option<u64> {
+    fn next_event_round(&self) -> Option<u64> {
         let mut next = None;
         if !self.active.is_empty() {
             next = Some(self.round + 1);
@@ -619,20 +525,105 @@ impl<M> Network<M> {
         }
     }
 
-    /// Advances the simulation by exactly one round and returns what the
-    /// nodes observe at its end.
-    pub fn step(&mut self) -> RoundOutput<M> {
-        let mut out = RoundOutput::default();
-        self.step_into(&mut out);
-        out
+    /// Advances the network to the next round in which something happens,
+    /// executes that round, and fills `out` (cleared first, its buffers
+    /// reused) with what the nodes observe at its end. Returns `false`,
+    /// leaving `out` cleared, when the network is idle.
+    ///
+    /// This is the engine's only way to advance. Rounds in which nothing
+    /// can be observed are not executed one by one, but the round counter
+    /// and every statistic still count them:
+    ///
+    /// - a **quiet gap**, in which no link transfers and only in-transit
+    ///   messages or wakeups are pending, is jumped over;
+    /// - inside **multi-word runs**, when no delivery, transit expiry or
+    ///   wakeup can fire before round `r + k`, every active link advances
+    ///   `k - 1` words in one pass, with [`NetStats`] (words, per-link
+    ///   words, histogram buckets, peak round, `words_per_round` history)
+    ///   updated in closed form. During those rounds the active-link set
+    ///   cannot change (no head finishes, by the choice of `k`), every
+    ///   round transfers exactly `active.len()` words, and nothing is
+    ///   delivered, so there is no event to log. The `O(active)` lookahead
+    ///   runs only once the network has carried a multi-word message.
+    ///
+    /// Everything observable — `out`, every `NetStats` field, the
+    /// message-event log — is bit-identical to executing each round in
+    /// turn. To act at a given round without a message, schedule a wakeup
+    /// ([`Network::schedule_wakeup`]): the advance stops there.
+    pub fn step(&mut self, out: &mut RoundOutput<M>) -> bool {
+        let Some(next) = self.next_event_round() else {
+            out.deliveries.clear();
+            out.wakeups.clear();
+            return false;
+        };
+        if next > self.round + 1 {
+            // Quiet gap: nothing is transferring; jump to the event.
+            self.round = next - 1;
+        } else if self.any_multiword && !self.active.is_empty() {
+            // k = number of rounds until *any* observable event: the
+            // earliest head completion, transit expiry, or wakeup.
+            let mut k = u64::MAX;
+            for &l in &self.active {
+                let head = self.queues[l].front().expect("active links have traffic");
+                k = k.min(head.words_left);
+            }
+            if let Some(Reverse((r, _, _))) = self.transit.peek() {
+                k = k.min(r - self.round);
+            }
+            if let Some(Reverse((r, _))) = self.wakeups.peek() {
+                k = k.min(r - self.round);
+            }
+            if k > 1 {
+                // No send happens while skipping, and `send_on_link`
+                // maintains both queue high-waters, so neither can move.
+                let skipped = k - 1;
+                let per_round = self.active.len() as u64;
+                self.stats.active_rounds += skipped;
+                self.stats.round_histogram[hist_bucket(per_round)] += skipped;
+                if per_round > self.stats.max_words_in_round {
+                    self.stats.max_words_in_round = per_round;
+                    // First skipped round is the first to hit the new max.
+                    self.stats.peak_round = self.round + 1;
+                }
+                if self.history {
+                    for i in 1..=skipped {
+                        self.stats.words_per_round.push((self.round + i, per_round));
+                    }
+                }
+                self.stats.words += skipped * per_round;
+                let engaged = self
+                    .sharding
+                    .as_ref()
+                    .is_some_and(|sh| sh.engaged(self.active.len()));
+                if engaged {
+                    let mut sh = self.sharding.take().expect("engaged sharding present");
+                    let active = std::mem::take(&mut self.active);
+                    sh.bulk_skip(
+                        &active,
+                        &mut self.queues,
+                        &mut self.stats.per_link_words,
+                        skipped,
+                    );
+                    self.active = active;
+                    self.sharding = Some(sh);
+                } else {
+                    for &l in &self.active {
+                        let head = self.queues[l].front_mut().expect("active");
+                        head.words_left -= skipped;
+                        self.stats.per_link_words[l] += skipped;
+                    }
+                }
+                self.round += skipped;
+            }
+        }
+        self.execute_round(out);
+        true
     }
 
-    /// Allocation-free [`Network::step`]: clears `out` and fills it with
-    /// this round's deliveries and wakeups, reusing its backing buffers.
-    /// Driver loops that step many thousands of rounds should hold one
-    /// `RoundOutput` and call this (or [`Network::step_bulk_into`]) in a
-    /// loop.
-    pub fn step_into(&mut self, out: &mut RoundOutput<M>) {
+    /// The single-round tail of [`Network::step`]: transfers one word on
+    /// every active link, then delivers expired transit and fires due
+    /// wakeups.
+    fn execute_round(&mut self, out: &mut RoundOutput<M>) {
         out.deliveries.clear();
         out.wakeups.clear();
         self.round += 1;
@@ -728,33 +719,9 @@ impl<M> Network<M> {
         }
     }
 
-    /// Jumps over quiet rounds (when no link is transferring) straight to
-    /// the next event and performs that round; the round counter still
-    /// advances over the skipped rounds, so complexity accounting is
-    /// unchanged. Returns `None` when the network is idle.
-    pub fn step_fast(&mut self) -> Option<RoundOutput<M>> {
-        let mut out = RoundOutput::default();
-        self.step_fast_into(&mut out).then_some(out)
-    }
-
-    /// Allocation-free [`Network::step_fast`]: returns `false` (leaving
-    /// `out` cleared) when the network is idle.
-    pub fn step_fast_into(&mut self, out: &mut RoundOutput<M>) -> bool {
-        let Some(next) = self.next_event_round() else {
-            out.deliveries.clear();
-            out.wakeups.clear();
-            return false;
-        };
-        if next > self.round + 1 {
-            self.round = next - 1;
-        }
-        self.step_into(out);
-        true
-    }
-
     /// Charges round `round` of a bitset flood without touching the queue
     /// machinery. `round` may jump ahead over quiet rounds, like
-    /// [`Network::step_fast_into`]. `links` each carry one one-word
+    /// [`Network::step`]. `links` each carry one one-word
     /// *transfer* this round, in send order (a link appears at most once:
     /// in the flood primitives each directed link has a single sender,
     /// and a node forwards at most one announcement per round).
@@ -766,11 +733,11 @@ impl<M> Network<M> {
     /// transit expiries.
     ///
     /// Reproduces, stat for stat and event for event, what
-    /// [`Network::send_on_link`] + [`Network::step_into`] /
-    /// [`Network::step_fast_into`] would record for that traffic pattern:
-    /// transfer stats (words, per-link words, queue high-waters at depth 1,
-    /// the active-round histogram, first-reach peak tracking, the optional
-    /// per-round history) are charged only when `links` is nonempty — a
+    /// [`Network::send_on_link`] + one [`Network::step`] per charged round
+    /// would record for that traffic pattern: transfer stats (words,
+    /// per-link words, queue high-waters at depth 1, the active-round
+    /// histogram, first-reach peak tracking, the optional per-round
+    /// history) are charged only when `links` is nonempty — a
     /// pure-arrival round is a quiet round that moves no words, matching an
     /// engine step whose active set is empty — while the message count and
     /// the message events follow `delivered`. This is what lets the bitset
@@ -778,9 +745,9 @@ impl<M> Network<M> {
     /// staying byte-identical to the engine-stepped scalar kernel in every
     /// ledger count, congestion profile, and event log. A round with
     /// neither transfers nor arrivals advances the round and records
-    /// nothing, exactly like a [`Network::step_into`] with no active link
-    /// (source detection charges such rounds when every popped
-    /// announcement is filtered by the distance budget).
+    /// nothing, exactly like a [`Network::step`] that a wakeup stops with
+    /// no link active (source detection charges such rounds when every
+    /// popped announcement is filtered by the distance budget).
     pub(crate) fn charge_flood_round(
         &mut self,
         round: u64,
@@ -835,7 +802,7 @@ impl<M> Network<M> {
     /// `children[]` order) — exactly the order the engine-stepped loop's
     /// active list settles into, so the event log comes out in the same
     /// order. Reproduces what per-message [`Network::send`] +
-    /// [`Network::step_bulk_into`] would record, stat for stat: depth-1
+    /// [`Network::step`] would record, stat for stat: depth-1
     /// queues peak at `m` (the root enqueues everything up front), deeper
     /// queues at 1 (pop and re-push in the same round), every per-round
     /// transfer count, the first-reach peak round, the optional history,
@@ -908,106 +875,6 @@ impl<M> Network<M> {
             }
         }
     }
-
-    /// [`Network::step_fast`] plus **bulk link transfer**: when no
-    /// delivery, transit expiry, or wakeup can fire before round `r + k`,
-    /// the engine advances every active link `k - 1` words in one pass —
-    /// updating `NetStats` (words, per-link words, histogram buckets, peak
-    /// round, `words_per_round` history) in closed form — and then executes
-    /// round `r + k` normally. Observable state after the call, including
-    /// all statistics, the ledger history and the message-event log, is
-    /// bit-identical to `k` calls of [`Network::step`]: during the skipped
-    /// rounds the active-link set cannot change (no head finishes, by the
-    /// choice of `k`), every round transfers exactly `active.len()` words,
-    /// and nothing is delivered, so there is no event to log and no
-    /// stats path that differs.
-    ///
-    /// The lookahead scan is `O(active)` and gated on the network ever
-    /// having carried a multi-word message; single-word workloads take the
-    /// plain [`Network::step_fast_into`] path unchanged.
-    pub fn step_bulk(&mut self) -> Option<RoundOutput<M>> {
-        let mut out = RoundOutput::default();
-        self.step_bulk_into(&mut out).then_some(out)
-    }
-
-    /// Allocation-free [`Network::step_bulk`]: returns `false` (leaving
-    /// `out` cleared) when the network is idle.
-    pub fn step_bulk_into(&mut self, out: &mut RoundOutput<M>) -> bool {
-        let Some(next) = self.next_event_round() else {
-            out.deliveries.clear();
-            out.wakeups.clear();
-            return false;
-        };
-        if next > self.round + 1 {
-            // Quiet gap: nothing is transferring, jump like step_fast.
-            self.round = next - 1;
-        } else if self.any_multiword && !self.active.is_empty() {
-            // k = number of rounds until *any* observable event: the
-            // earliest head completion, transit expiry, or wakeup.
-            let mut k = u64::MAX;
-            let mut deepest_queue = 0u64;
-            for &l in &self.active {
-                let q = &self.queues[l];
-                deepest_queue = deepest_queue.max(q.len() as u64);
-                k = k.min(q.front().expect("active links have traffic").words_left);
-            }
-            if let Some(Reverse((r, _, _))) = self.transit.peek() {
-                k = k.min(r - self.round);
-            }
-            if let Some(Reverse((r, _))) = self.wakeups.peek() {
-                k = k.min(r - self.round);
-            }
-            if k > 1 {
-                // Queue depth can only grow at send() time, which already
-                // maintains the high-water mark, but re-observe it here so
-                // depth standing through a bulk advance is accounted even
-                // if a future send path forgets to.
-                if deepest_queue > self.stats.queue_high_water {
-                    self.stats.queue_high_water = deepest_queue;
-                }
-                let skipped = k - 1;
-                let per_round = self.active.len() as u64;
-                self.stats.active_rounds += skipped;
-                self.stats.round_histogram[hist_bucket(per_round)] += skipped;
-                if per_round > self.stats.max_words_in_round {
-                    self.stats.max_words_in_round = per_round;
-                    // First skipped round is the first to hit the new max.
-                    self.stats.peak_round = self.round + 1;
-                }
-                if self.history {
-                    for i in 1..=skipped {
-                        self.stats.words_per_round.push((self.round + i, per_round));
-                    }
-                }
-                self.stats.words += skipped * per_round;
-                let engaged = self
-                    .sharding
-                    .as_ref()
-                    .is_some_and(|sh| sh.engaged(self.active.len()));
-                if engaged {
-                    let mut sh = self.sharding.take().expect("engaged sharding present");
-                    let active = std::mem::take(&mut self.active);
-                    sh.bulk_skip(
-                        &active,
-                        &mut self.queues,
-                        &mut self.stats.per_link_words,
-                        skipped,
-                    );
-                    self.active = active;
-                    self.sharding = Some(sh);
-                } else {
-                    for &l in &self.active {
-                        let head = self.queues[l].front_mut().expect("active");
-                        head.words_left -= skipped;
-                        self.stats.per_link_words[l] += skipped;
-                    }
-                }
-                self.round += skipped;
-            }
-        }
-        self.step_into(out);
-        true
-    }
 }
 
 impl<M> fmt::Debug for Network<M> {
@@ -1030,11 +897,24 @@ mod tests {
         Graph::from_edges(3, Orientation::Undirected, [(0, 1, 1), (1, 2, 1)]).unwrap()
     }
 
+    /// One [`Network::step`] on a network with pending work.
+    fn step(net: &mut Network<u32>) -> RoundOutput<u32> {
+        let mut out = RoundOutput::default();
+        assert!(net.step(&mut out), "network has pending work");
+        out
+    }
+
+    /// Steps `net` until it is idle.
+    fn run_to_idle(net: &mut Network<u32>) {
+        let mut out = RoundOutput::default();
+        while net.step(&mut out) {}
+    }
+
     #[test]
     fn single_word_takes_one_round() {
         let mut net: Network<u32> = Network::new(&path3());
         net.send(0, 1, 7, 1).unwrap();
-        let out = net.step();
+        let out = step(&mut net);
         assert_eq!(out.deliveries.len(), 1);
         assert_eq!(out.deliveries[0].from, 0);
         assert_eq!(out.deliveries[0].to, 1);
@@ -1047,9 +927,7 @@ mod tests {
     fn multi_word_message_occupies_link() {
         let mut net: Network<u32> = Network::new(&path3());
         net.send(0, 1, 1, 3).unwrap();
-        assert!(net.step().deliveries.is_empty());
-        assert!(net.step().deliveries.is_empty());
-        let out = net.step();
+        let out = step(&mut net);
         assert_eq!(out.deliveries.len(), 1);
         assert_eq!(net.round(), 3);
         assert_eq!(net.stats().words, 3);
@@ -1060,8 +938,8 @@ mod tests {
         let mut net: Network<u32> = Network::new(&path3());
         net.send(0, 1, 10, 1).unwrap();
         net.send(0, 1, 20, 1).unwrap();
-        assert_eq!(net.step().deliveries[0].payload, 10);
-        assert_eq!(net.step().deliveries[0].payload, 20);
+        assert_eq!(step(&mut net).deliveries[0].payload, 10);
+        assert_eq!(step(&mut net).deliveries[0].payload, 20);
         assert_eq!(net.round(), 2);
     }
 
@@ -1070,7 +948,7 @@ mod tests {
         let mut net: Network<u32> = Network::new(&path3());
         net.send(0, 1, 1, 1).unwrap();
         net.send(1, 0, 2, 1).unwrap();
-        let out = net.step();
+        let out = step(&mut net);
         assert_eq!(out.deliveries.len(), 2);
         assert_eq!(net.round(), 1);
     }
@@ -1082,7 +960,7 @@ mod tests {
         // Message against the edge orientation is fine: links are
         // bidirectional in CONGEST.
         net.send(1, 0, 5, 1).unwrap();
-        assert_eq!(net.step().deliveries.len(), 1);
+        assert_eq!(step(&mut net).deliveries.len(), 1);
     }
 
     #[test]
@@ -1102,9 +980,9 @@ mod tests {
         net.send_latency(0, 1, 1, 1, 3).unwrap();
         net.send_latency(0, 1, 2, 1, 3).unwrap();
         let mut arrivals = Vec::new();
-        while !net.is_idle() {
-            let out = net.step();
-            for d in out.deliveries {
+        let mut out = RoundOutput::default();
+        while net.step(&mut out) {
+            for d in out.deliveries.drain(..) {
                 arrivals.push((net.round(), d.payload));
             }
         }
@@ -1112,16 +990,17 @@ mod tests {
     }
 
     #[test]
-    fn step_fast_skips_quiet_rounds_but_counts_them() {
+    fn step_jumps_quiet_rounds_but_counts_them() {
         let mut net: Network<u32> = Network::new(&path3());
         net.send_latency(0, 1, 1, 1, 9).unwrap();
         // Word leaves at round 1; arrival at round 10.
-        let out = net.step();
+        let out = step(&mut net);
         assert!(out.deliveries.is_empty());
-        let out = net.step_fast().expect("pending arrival");
+        assert_eq!(net.round(), 1);
+        let out = step(&mut net);
         assert_eq!(out.deliveries.len(), 1);
         assert_eq!(net.round(), 10);
-        assert!(net.step_fast().is_none());
+        assert!(!net.step(&mut RoundOutput::default()));
     }
 
     #[test]
@@ -1130,10 +1009,10 @@ mod tests {
         net.schedule_wakeup(5, 2);
         net.schedule_wakeup(5, 0);
         net.schedule_wakeup(3, 1);
-        let out = net.step_fast().unwrap();
+        let out = step(&mut net);
         assert_eq!(net.round(), 3);
         assert_eq!(out.wakeups, vec![1]);
-        let out = net.step_fast().unwrap();
+        let out = step(&mut net);
         assert_eq!(net.round(), 5);
         let mut w = out.wakeups.clone();
         w.sort_unstable();
@@ -1145,9 +1024,7 @@ mod tests {
         let mut net: Network<u32> = Network::new(&path3());
         net.send(0, 1, 1, 2).unwrap();
         net.send(2, 1, 1, 1).unwrap();
-        while !net.is_idle() {
-            net.step();
-        }
+        run_to_idle(&mut net);
         assert_eq!(net.stats().words, 3);
         assert_eq!(net.stats().messages, 2);
         // Partition {0} vs {1,2}: only the 2-word message crosses.
@@ -1161,9 +1038,7 @@ mod tests {
         net.enable_history();
         net.send(0, 1, 1, 2).unwrap();
         net.send(1, 2, 2, 1).unwrap();
-        while !net.is_idle() {
-            net.step();
-        }
+        run_to_idle(&mut net);
         // Round 1: both links busy (2 words); round 2: only 0→1 (1 word).
         assert_eq!(net.stats().words_per_round, vec![(1, 2), (2, 1)]);
     }
@@ -1171,14 +1046,14 @@ mod tests {
     #[test]
     fn peak_round_is_the_earliest_max_round() {
         let mut net: Network<u32> = Network::new(&path3());
-        // Round 1 moves 2 words (both links), round 2 moves 2 words again
-        // (tie), round 3 moves 1: the peak round must stay at 1.
+        // Rounds 1 and 2 move 2 words each (a tie), round 3 moves 1: the
+        // peak round must stay at 1.
         net.send(0, 1, 1, 2).unwrap();
         net.send(1, 2, 2, 2).unwrap();
-        net.step();
-        net.step();
+        run_to_idle(&mut net);
+        assert_eq!(net.round(), 2);
         net.send(0, 1, 3, 1).unwrap();
-        net.step();
+        step(&mut net);
         assert_eq!(net.stats().max_words_in_round, 2);
         assert_eq!(net.stats().peak_round, 1);
     }
@@ -1189,9 +1064,7 @@ mod tests {
         let mut net: Network<u32> = Network::new(&path3());
         net.send(0, 1, 7, 2).unwrap();
         net.send_latency(1, 2, 8, 1, 3).unwrap();
-        while !net.is_idle() {
-            net.step();
-        }
+        run_to_idle(&mut net);
         let lines = cap.finish();
         assert_eq!(
             lines,
@@ -1206,11 +1079,11 @@ mod tests {
     fn zero_word_send_is_clamped_to_one() {
         let mut net: Network<u32> = Network::new(&path3());
         net.send(0, 1, 1, 0).unwrap();
-        assert_eq!(net.step().deliveries.len(), 1);
+        assert_eq!(step(&mut net).deliveries.len(), 1);
     }
 
     /// Loads `net` with a mixed workload: multi-word, latency, and
-    /// plain-word traffic plus wakeups.
+    /// plain-word traffic plus wakeups (nodes 0 and 2, never node 1).
     fn mixed_load(net: &mut Network<u32>) {
         net.send(0, 1, 1, 5).unwrap();
         net.send(0, 1, 2, 1).unwrap();
@@ -1220,14 +1093,28 @@ mod tests {
         net.schedule_wakeup(9, 2);
     }
 
+    /// Advances exactly one round through the public API: a wakeup at
+    /// `round() + 1` on node 1, which `mixed_load` never wakes, stops the
+    /// step there and is dropped from the output.
+    fn one_round(net: &mut Network<u32>, out: &mut RoundOutput<u32>) -> bool {
+        if net.is_idle() {
+            return false;
+        }
+        net.schedule_wakeup(net.round() + 1, 1);
+        net.step(out);
+        out.wakeups.retain(|&v| v != 1);
+        true
+    }
+
     /// Drains `net` with `advance`, recording `(round, deliveries,
     /// wakeups)` per non-empty output.
     fn drain(
         net: &mut Network<u32>,
-        mut advance: impl FnMut(&mut Network<u32>) -> Option<RoundOutput<u32>>,
+        advance: fn(&mut Network<u32>, &mut RoundOutput<u32>) -> bool,
     ) -> Vec<(u64, Vec<(NodeId, NodeId, u32)>, Vec<NodeId>)> {
         let mut log = Vec::new();
-        while let Some(out) = advance(net) {
+        let mut out = RoundOutput::default();
+        while advance(net, &mut out) {
             if !out.deliveries.is_empty() || !out.wakeups.is_empty() {
                 let ds = out
                     .deliveries
@@ -1241,30 +1128,15 @@ mod tests {
     }
 
     #[test]
-    fn bulk_step_is_bit_identical_to_single_stepping() {
-        let g = path3();
-        let mut slow: Network<u32> = Network::new(&g);
-        let mut fast: Network<u32> = Network::new(&g);
-        slow.enable_history();
-        fast.enable_history();
-        mixed_load(&mut slow);
-        mixed_load(&mut fast);
-        let slow_log = drain(&mut slow, |n| (!n.is_idle()).then(|| n.step()));
-        let fast_log = drain(&mut fast, Network::step_bulk);
-        assert_eq!(slow_log, fast_log);
-        assert_eq!(slow.round(), fast.round());
-        assert_eq!(slow.stats(), fast.stats());
-    }
-
-    #[test]
     fn bulk_step_skips_rounds_inside_long_messages() {
         let mut net: Network<u32> = Network::new(&path3());
         net.send(0, 1, 7, 100).unwrap();
         let mut calls = 0;
-        while net.step_bulk().is_some() {
+        let mut out = RoundOutput::default();
+        while net.step(&mut out) {
             calls += 1;
         }
-        // One bulk call covers rounds 1..=100; the message arrives at 100.
+        // One call covers rounds 1..=100; the message arrives at 100.
         assert_eq!(calls, 1);
         assert_eq!(net.round(), 100);
         assert_eq!(net.stats().words, 100);
@@ -1278,29 +1150,10 @@ mod tests {
         // Two links active for 4 rounds (bulk), then one for 2 more.
         net.send(0, 1, 1, 4).unwrap();
         net.send(1, 2, 2, 6).unwrap();
-        while net.step_bulk().is_some() {}
+        run_to_idle(&mut net);
         assert_eq!(net.stats().max_words_in_round, 2);
         assert_eq!(net.stats().peak_round, 1);
         assert_eq!(net.stats().words, 10);
-    }
-
-    #[test]
-    fn bulk_step_stops_at_transit_and_wakeup_boundaries() {
-        let g = path3();
-        let mut slow: Network<u32> = Network::new(&g);
-        let mut fast: Network<u32> = Network::new(&g);
-        for net in [&mut slow, &mut fast] {
-            net.enable_history();
-            // 10-word transfer on 0→1; a latency message expiring at round
-            // 4 and a wakeup at round 7 both interrupt the bulk run.
-            net.send(0, 1, 1, 10).unwrap();
-            net.send_latency(1, 2, 2, 1, 3).unwrap();
-            net.schedule_wakeup(7, 1);
-        }
-        let slow_log = drain(&mut slow, |n| (!n.is_idle()).then(|| n.step()));
-        let fast_log = drain(&mut fast, Network::step_bulk);
-        assert_eq!(slow_log, fast_log);
-        assert_eq!(slow.stats(), fast.stats());
     }
 
     /// A sharded clone of `path3` with the engagement threshold forced to
@@ -1322,8 +1175,8 @@ mod tests {
         par.enable_history();
         mixed_load(&mut seq);
         mixed_load(&mut par);
-        let seq_log = drain(&mut seq, |n| (!n.is_idle()).then(|| n.step()));
-        let par_log = drain(&mut par, |n| (!n.is_idle()).then(|| n.step()));
+        let seq_log = drain(&mut seq, one_round);
+        let par_log = drain(&mut par, one_round);
         assert_eq!(seq_log, par_log);
         assert_eq!(seq.round(), par.round());
         assert_eq!(seq.stats(), par.stats());
@@ -1337,8 +1190,8 @@ mod tests {
         par.enable_history();
         mixed_load(&mut seq);
         mixed_load(&mut par);
-        let seq_log = drain(&mut seq, Network::step_bulk);
-        let par_log = drain(&mut par, Network::step_bulk);
+        let seq_log = drain(&mut seq, Network::step);
+        let par_log = drain(&mut par, Network::step);
         assert_eq!(seq_log, par_log);
         assert_eq!(seq.stats(), par.stats());
     }
@@ -1353,150 +1206,12 @@ mod tests {
                 Network::new(&path3())
             };
             mixed_load(&mut net);
-            while net.step_bulk().is_some() {}
+            run_to_idle(&mut net);
             cap.finish()
         };
         let baseline = run(1);
         assert!(!baseline.is_empty());
         assert_eq!(run(2), baseline);
         assert_eq!(run(3), baseline);
-    }
-
-    #[test]
-    fn netstats_merge_is_order_independent() {
-        // Two fragments with overlapping histories: both active in round
-        // 2, disjoint elsewhere, different queue high-waters.
-        let a = NetStats {
-            words: 7,
-            messages: 2,
-            per_link_words: vec![3, 4],
-            per_link_queue_high: vec![2, 1],
-            words_per_round: vec![(1, 3), (2, 4)],
-            active_rounds: 2,
-            max_words_in_round: 4,
-            peak_round: 2,
-            queue_high_water: 3,
-            round_histogram: {
-                let mut h = [0; HIST_BUCKETS];
-                h[hist_bucket(3)] += 1;
-                h[hist_bucket(4)] += 1;
-                h
-            },
-        };
-        let b = NetStats {
-            words: 9,
-            messages: 1,
-            per_link_words: vec![0, 5, 4],
-            per_link_queue_high: vec![1, 3, 2],
-            words_per_round: vec![(2, 5), (4, 4)],
-            active_rounds: 2,
-            max_words_in_round: 5,
-            peak_round: 2,
-            queue_high_water: 2,
-            round_histogram: {
-                let mut h = [0; HIST_BUCKETS];
-                h[hist_bucket(5)] += 1;
-                h[hist_bucket(4)] += 1;
-                h
-            },
-        };
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        // The regression this pins: a naive fold gives a different
-        // histogram (and active-round count) depending on merge order
-        // once activity overlaps. The merged timeline is the truth.
-        assert_eq!(ab, ba);
-        assert_eq!(ab.words, 16);
-        assert_eq!(ab.messages, 3);
-        assert_eq!(ab.per_link_words, vec![3, 9, 4]);
-        assert_eq!(ab.per_link_queue_high, vec![2, 3, 2]);
-        assert_eq!(ab.words_per_round, vec![(1, 3), (2, 9), (4, 4)]);
-        assert_eq!(ab.active_rounds, 3);
-        // Round 2 carried 4 + 5 = 9 words — a peak neither side saw.
-        assert_eq!(ab.max_words_in_round, 9);
-        assert_eq!(ab.peak_round, 2);
-        assert_eq!(ab.queue_high_water, 3);
-        let mut expect_hist = [0u64; HIST_BUCKETS];
-        expect_hist[hist_bucket(3)] += 1;
-        expect_hist[hist_bucket(9)] += 1;
-        expect_hist[hist_bucket(4)] += 1;
-        assert_eq!(ab.round_histogram, expect_hist);
-    }
-
-    #[test]
-    fn netstats_merge_without_history_breaks_peak_ties_early() {
-        let frag = |max: u64, peak: u64| NetStats {
-            max_words_in_round: max,
-            peak_round: peak,
-            ..NetStats::default()
-        };
-        let mut ab = frag(4, 9);
-        ab.merge(&frag(4, 3));
-        let mut ba = frag(4, 3);
-        ba.merge(&frag(4, 9));
-        assert_eq!(ab, ba);
-        assert_eq!(ab.peak_round, 3);
-        // Zero-max fragments must not drag the peak to round 0.
-        let mut z = frag(4, 9);
-        z.merge(&frag(0, 0));
-        assert_eq!((z.max_words_in_round, z.peak_round), (4, 9));
-        let mut z = frag(0, 0);
-        z.merge(&frag(4, 9));
-        assert_eq!((z.max_words_in_round, z.peak_round), (4, 9));
-    }
-
-    #[test]
-    fn netstats_merge_matches_one_network_recording_both_phases() {
-        // Ground truth: one network runs workload A then workload B.
-        // Merge of two separate same-topology runs must agree on every
-        // additive field (timelines differ by round offsets, so compare
-        // the offset-free fields).
-        let run = |loads: &[fn(&mut Network<u32>)]| {
-            let mut net: Network<u32> = Network::new(&path3());
-            for load in loads {
-                load(&mut net);
-                while !net.is_idle() {
-                    net.step();
-                }
-            }
-            net.stats().clone()
-        };
-        fn load_a(net: &mut Network<u32>) {
-            net.send(0, 1, 1, 3).unwrap();
-            net.send(2, 1, 2, 1).unwrap();
-        }
-        fn load_b(net: &mut Network<u32>) {
-            net.send(1, 0, 3, 2).unwrap();
-        }
-        let combined = run(&[load_a, load_b]);
-        let mut merged = run(&[load_a]);
-        merged.merge(&run(&[load_b]));
-        assert_eq!(merged.words, combined.words);
-        assert_eq!(merged.messages, combined.messages);
-        assert_eq!(merged.per_link_words, combined.per_link_words);
-        assert_eq!(merged.active_rounds, combined.active_rounds);
-        assert_eq!(merged.queue_high_water, combined.queue_high_water);
-        assert_eq!(merged.round_histogram, combined.round_histogram);
-    }
-
-    #[test]
-    fn bulk_step_event_log_matches_single_stepping() {
-        let run = |bulk: bool| {
-            let cap = crate::events::EventCapture::memory();
-            let mut net: Network<u32> = Network::new(&path3());
-            net.send(0, 1, 7, 6).unwrap();
-            net.send_latency(1, 2, 8, 3, 2).unwrap();
-            if bulk {
-                while net.step_bulk().is_some() {}
-            } else {
-                while !net.is_idle() {
-                    net.step();
-                }
-            }
-            cap.finish()
-        };
-        assert_eq!(run(false), run(true));
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! - **Scalar**: the reference implementation — per-node `BinaryHeap`
 //!   outboxes, every announcement enqueued on a [`Network`] link and moved
-//!   by `step_into` (stretched edges through the engine's transit heap),
+//!   by `Network::step` (stretched edges through the engine's transit heap),
 //!   stale heap entries skipped lazily at pop time.
 //! - **Bitset**: frontiers are distance-bucketed u64 words, 64 source rows
 //!   per word, maintained *eagerly* (an improved or evicted announcement is
@@ -57,9 +57,9 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Which inner loop the flood primitives run. See the [module docs](self)
-/// for the contract: the choice is invisible to every gated metric — only
-/// wall-clock moves.
+/// Which inner loop the flood primitives run. The choice is invisible to
+/// every gated metric — only wall-clock moves (the `flood` module docs
+/// give the equivalence argument).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FloodKernel {
     /// Engine-stepped reference loop (heap outboxes, per-link queues, the
@@ -386,8 +386,8 @@ impl<T: Ord> CalendarRing<T> {
     }
 
     /// The earliest pending arrival, or `None` when the ring is empty —
-    /// the bitset kernel's quiet-round fast-forward
-    /// (`Network::step_fast_into` in the scalar path). Bucketed arrivals
+    /// the bitset kernel's quiet-round fast-forward (the gap jump of
+    /// `Network::step` in the scalar path). Bucketed arrivals
     /// all precede the overflow, so this scans at most one window before
     /// consulting the heap.
     pub fn next_arrival(&self) -> Option<u64> {

@@ -51,7 +51,7 @@ impl Phase {
 /// # Examples
 ///
 /// ```
-/// use mwc_congest::{Ledger, Network};
+/// use mwc_congest::{Ledger, Network, RoundOutput};
 /// use mwc_graph::{Graph, Orientation};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -59,7 +59,7 @@ impl Phase {
 /// let mut ledger = Ledger::new();
 /// let mut net: Network<u8> = Network::new(&g);
 /// net.send(0, 1, 42, 1)?;
-/// net.step();
+/// net.step(&mut RoundOutput::default());
 /// ledger.absorb("hello", &net);
 /// assert_eq!(ledger.rounds, 1);
 /// assert_eq!(ledger.phases.len(), 1);
@@ -237,7 +237,8 @@ impl Ledger {
         )
     }
 
-    /// Aggregates the ledger into the [`CongestionSummary`] a
+    /// Aggregates the ledger into the
+    /// [`CongestionSummary`](mwc_trace::CongestionSummary) a
     /// [`RunRecord`](mwc_trace::RunRecord) carries: totals, the global
     /// peak round (phase offsets applied, earliest peak wins ties), queue
     /// high-water, the top [`crate::PROFILE_HOT_LINKS`] hot links, and
@@ -318,6 +319,12 @@ mod tests {
     use super::*;
     use mwc_graph::{Graph, Orientation};
 
+    /// Steps `net` until it is idle.
+    fn run_to_idle(net: &mut Network<u8>) {
+        let mut out = crate::RoundOutput::default();
+        while net.step(&mut out) {}
+    }
+
     fn edge() -> Graph {
         Graph::from_edges(2, Orientation::Undirected, [(0, 1, 1)]).unwrap()
     }
@@ -329,9 +336,7 @@ mod tests {
         for i in 0..3u8 {
             let mut net: Network<u8> = Network::new(&g);
             net.send(0, 1, i, 2).unwrap();
-            while !net.is_idle() {
-                net.step();
-            }
+            run_to_idle(&mut net);
             ledger.absorb("phase", &net);
         }
         assert_eq!(ledger.rounds, 6);
@@ -347,9 +352,7 @@ mod tests {
         for _ in 0..2 {
             let mut net: Network<u8> = Network::new(&g);
             net.send(1, 0, 0, 5).unwrap();
-            while !net.is_idle() {
-                net.step();
-            }
+            run_to_idle(&mut net);
             ledger.absorb("phase", &net);
         }
         assert_eq!(ledger.words_across(&[true, false]), 10);
@@ -362,7 +365,7 @@ mod tests {
         let mut ledger = Ledger::new();
         let mut net: Network<u8> = Network::new(&g);
         net.send(0, 1, 1, 1).unwrap();
-        net.step();
+        run_to_idle(&mut net);
         ledger.absorb("hello phase", &net);
         let text = format!("{ledger}");
         assert!(text.contains("total: 1 rounds"));
@@ -378,9 +381,9 @@ mod tests {
             net.enable_history();
             net.send(0, 1, 7, 1).unwrap();
             net.send(1, 0, 8, 1).unwrap();
-            net.step(); // both link directions busy: 2 words
+            run_to_idle(&mut net); // both link directions busy: 2 words
             net.send(0, 1, 9, 1).unwrap();
-            net.step(); // 1 word
+            run_to_idle(&mut net); // 1 word
             ledger.absorb("phase", &net);
         }
         // Each phase ran 2 rounds; the second phase's history must shift
@@ -391,7 +394,7 @@ mod tests {
         let mut net: Network<u8> = Network::new(&g);
         net.enable_history();
         net.send(0, 1, 9, 1).unwrap();
-        net.step();
+        run_to_idle(&mut net);
         other.absorb("sub", &net);
         ledger.merge(&other);
         assert_eq!(ledger.words_per_round().last(), Some(&(5, 1)));
@@ -403,7 +406,7 @@ mod tests {
         let mut ledger = Ledger::new();
         let mut net: Network<u8> = Network::new(&g);
         net.send(0, 1, 1, 1).unwrap();
-        net.step();
+        run_to_idle(&mut net);
         ledger.absorb("quiet", &net);
         assert!(ledger.words_per_round().is_empty());
     }
@@ -415,19 +418,19 @@ mod tests {
         // Phase 1: 1 round, 1 word — peak 1 at local round 1.
         let mut net: Network<u8> = Network::new(&g);
         net.send(0, 1, 1, 1).unwrap();
-        net.step();
+        run_to_idle(&mut net);
         ledger.absorb("light", &net);
         // Phase 2: local round 1 moves 2 words — new global peak at 1+1=2.
         let mut net: Network<u8> = Network::new(&g);
         net.send(0, 1, 1, 1).unwrap();
         net.send(1, 2, 2, 1).unwrap();
-        net.step();
+        run_to_idle(&mut net);
         ledger.absorb("heavy", &net);
         // Phase 3: ties the peak (2 words) — must NOT displace it.
         let mut net: Network<u8> = Network::new(&g);
         net.send(0, 1, 1, 1).unwrap();
         net.send(1, 2, 2, 1).unwrap();
-        net.step();
+        run_to_idle(&mut net);
         ledger.absorb("tie", &net);
         let s = ledger.congestion_summary("all");
         assert_eq!(s.rounds, 3);
@@ -445,12 +448,11 @@ mod tests {
         let mut ledger = Ledger::new();
         let mut net: Network<u8> = Network::new(&g);
         net.send(0, 1, 1, 1).unwrap();
-        net.step();
+        run_to_idle(&mut net);
         ledger.absorb("p1", &net);
         let mut net: Network<u8> = Network::new(&g);
         net.send(1, 0, 2, 2).unwrap();
-        net.step();
-        net.step();
+        run_to_idle(&mut net);
         ledger.absorb("p2", &net);
         let lines = cap.finish();
         assert_eq!(
@@ -472,16 +474,12 @@ mod tests {
         let mut net: Network<u8> = Network::new(&g);
         net.send(0, 1, 1, 1).unwrap();
         net.send(0, 1, 2, 1).unwrap();
-        while !net.is_idle() {
-            net.step();
-        }
+        run_to_idle(&mut net);
         ledger.absorb("deep", &net);
         // Phase 2: one message → queue high 1, two more words on 1->0.
         let mut net: Network<u8> = Network::new(&g);
         net.send(1, 0, 3, 2).unwrap();
-        while !net.is_idle() {
-            net.step();
-        }
+        run_to_idle(&mut net);
         ledger.absorb("shallow", &net);
         let p = ledger.shard_profile();
         assert_eq!(p.words.iter().sum::<u64>(), 4);
@@ -501,7 +499,7 @@ mod tests {
         let mut b = Ledger::new();
         let mut net: Network<u8> = Network::new(&g);
         net.send(0, 1, 0, 1).unwrap();
-        net.step();
+        run_to_idle(&mut net);
         a.absorb("a", &net);
         b.absorb("b", &net);
         a.merge(&b);

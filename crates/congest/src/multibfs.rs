@@ -194,23 +194,12 @@ fn bfs_kernel_scalar(
             }
         }
 
-        if !any_sent {
-            if !pending.is_empty() {
-                // Entirely-filtered pops: keep draining outboxes locally
-                // without charging rounds (nothing was transmitted).
-                continue;
-            }
-            if net.is_idle() {
-                break;
-            }
+        if !any_sent && !pending.is_empty() {
+            // Entirely-filtered pops: keep draining outboxes locally
+            // without charging rounds (nothing was transmitted).
+            continue;
         }
-        let stepped = if any_sent {
-            net.step_into(&mut out);
-            true
-        } else {
-            net.step_fast_into(&mut out)
-        };
-        if !stepped {
+        if !net.step(&mut out) {
             break;
         }
         for d in out.deliveries.drain(..) {
@@ -431,7 +420,8 @@ fn detect_kernel_scalar(
     let mut out = RoundOutput::default();
     loop {
         let acting = std::mem::take(&mut pending);
-        let mut any_action = false;
+        let mut popper = None;
+        let mut any_sent = false;
         for v in acting {
             pending_flag[v] = false;
             let fresh = loop {
@@ -446,12 +436,13 @@ fn detect_kernel_scalar(
                 }
             };
             let Some((d, row)) = fresh else { continue };
-            any_action = true;
+            popper = Some(v);
             for hop in plan.of(v) {
                 let cand = add_dist(d, hop.dist_add);
                 if cand > h {
                     continue;
                 }
+                any_sent = true;
                 net.send_on_link(hop.link as usize, (row, cand), 1, hop.latency);
             }
             if !outbox[v].is_empty() && !pending_flag[v] {
@@ -460,16 +451,13 @@ fn detect_kernel_scalar(
             }
         }
 
-        if !any_action && net.is_idle() {
-            break;
+        if let (Some(v), false) = (popper, any_sent) {
+            // The budget filtered every pop, yet the round is charged:
+            // wake the popper next round so the step executes exactly
+            // that round instead of jumping to the next arrival.
+            net.schedule_wakeup(net.round() + 1, v);
         }
-        let stepped = if any_action {
-            net.step_into(&mut out);
-            true
-        } else {
-            net.step_fast_into(&mut out)
-        };
-        if !stepped {
+        if !net.step(&mut out) {
             break;
         }
         for dmsg in out.deliveries.drain(..) {
@@ -497,10 +485,11 @@ type RingMsg = (u32, u32, u32, Weight, u32);
 trait FloodRule {
     /// Whether a round in which nodes popped announcements but the budget
     /// filtered every send is still charged. The scalar detection loop
-    /// steps the engine whenever a node popped a fresh entry (an idle
-    /// `step_into`: the round advances, nothing is transferred, and that
-    /// round's arrivals still land); the scalar BFS loop only steps when
-    /// something was sent, and otherwise keeps draining outboxes locally.
+    /// charges a round whenever a node popped a fresh entry (a wakeup
+    /// stops its step at the next round: the round advances, nothing is
+    /// transferred, and that round's arrivals still land); the scalar BFS
+    /// loop only steps when something was sent, and otherwise keeps
+    /// draining outboxes locally.
     const CHARGE_FILTERED_POPS: bool;
 
     /// Offers `(row, d)` arriving at `v` from `pred` (`None` for a
@@ -597,7 +586,7 @@ impl FloodRule for DetectState {
 /// A send over a hop with latency `ℓ ≥ 1` is charged as a transfer in
 /// its send round but parked `ℓ` rounds ahead in the ring; zero-latency
 /// sends are delivered in the send round itself, *before* that round's
-/// calendar expiries — exactly the scalar `step_into` order (same-round
+/// calendar expiries — exactly the engine's order in a round (same-round
 /// completions in send order, then transit pops in `(arrival,
 /// send-sequence)` order, which the ring reproduces). A unit-latency
 /// flood never parks anything.
@@ -614,8 +603,8 @@ impl FloodRule for DetectState {
 /// is charged; filtered pops with pending work left otherwise spin
 /// without charging a round; and when nothing was sent but arrivals are
 /// still in flight, [`CalendarRing::next_arrival`] fast-forwards to the
-/// next expiry (`step_fast_into` in the scalar path) — a charged round
-/// with zero transfers, messages only.
+/// next expiry (where the scalar path's `Network::step` jumps the quiet
+/// gap) — a charged round with zero transfers, messages only.
 fn ring_kernel<R: FloodRule>(
     n: usize,
     sources: &[NodeId],

@@ -87,6 +87,12 @@ mod tests {
     use super::*;
     use mwc_graph::{Graph, Orientation};
 
+    /// Steps `net` until it is idle.
+    fn run_to_idle(net: &mut Network<u8>) {
+        let mut out = crate::RoundOutput::default();
+        while net.step(&mut out) {}
+    }
+
     #[test]
     fn capture_reads_engine_metrics() {
         let g = Graph::from_edges(3, Orientation::Undirected, [(0, 1, 1), (1, 2, 1)]).unwrap();
@@ -94,9 +100,7 @@ mod tests {
         net.send(0, 1, 1, 2).unwrap();
         net.send(0, 1, 2, 1).unwrap();
         net.send(1, 2, 3, 1).unwrap();
-        while !net.is_idle() {
-            net.step();
-        }
+        run_to_idle(&mut net);
         let p = CongestionProfile::capture(&net);
         assert_eq!(p.messages, 3);
         assert_eq!(p.queue_high_water, 2); // two messages queued on 0→1

@@ -121,7 +121,7 @@ where
         apply(&mut net, v, actions);
     }
     let mut out = RoundOutput::default();
-    while net.step_bulk_into(&mut out) {
+    while net.step(&mut out) {
         assert!(
             net.round() <= max_rounds,
             "round budget exhausted at {}",

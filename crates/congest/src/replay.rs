@@ -370,6 +370,12 @@ mod tests {
         Graph::from_edges(3, Orientation::Undirected, [(0, 1, 1), (1, 2, 1)]).unwrap()
     }
 
+    /// Steps `net` until it is idle.
+    fn run_to_idle(net: &mut Network<u8>) {
+        let mut out = crate::RoundOutput::default();
+        while net.step(&mut out) {}
+    }
+
     fn run(extra: bool) -> EventLog {
         EventLog::capture(|| {
             let g = path3();
@@ -377,18 +383,14 @@ mod tests {
             let mut net: Network<u8> = Network::new(&g);
             net.send(0, 1, 1, 1).unwrap();
             net.send(1, 2, 2, 2).unwrap();
-            while !net.is_idle() {
-                net.step();
-            }
+            run_to_idle(&mut net);
             ledger.absorb("phase-a", &net);
             let mut net: Network<u8> = Network::new(&g);
             net.send(2, 1, 3, 1).unwrap();
             if extra {
                 net.send(1, 0, 4, 1).unwrap();
             }
-            while !net.is_idle() {
-                net.step();
-            }
+            run_to_idle(&mut net);
             ledger.absorb("phase-b", &net);
         })
     }

@@ -351,7 +351,7 @@ impl<M> Sharding<M> {
     }
 
     /// Applies a bulk advance of `skipped` rounds (see
-    /// [`Network::step_bulk`](crate::Network::step_bulk)) across the
+    /// [`Network::step`](crate::Network::step)) across the
     /// shards: every active head loses `skipped` words and the per-link
     /// counters gain them. No head completes (the engine chose `skipped`
     /// so), hence no completions and no graft.

@@ -47,7 +47,7 @@ impl BfsTree {
             net.send(root, w, 1, 1).expect("neighbors are linked");
         }
         let mut out = RoundOutput::default();
-        while net.step_bulk_into(&mut out) {
+        while net.step(&mut out) {
             for d in out.deliveries.drain(..) {
                 let v = d.to;
                 if depth[v] == usize::MAX {
@@ -117,7 +117,7 @@ pub fn broadcast<T: Clone + Send>(
         }
     }
     let mut out = RoundOutput::default();
-    while net.step_bulk_into(&mut out) {
+    while net.step(&mut out) {
         for d in out.deliveries.drain(..) {
             let v = d.to;
             match tree.parent[v] {
@@ -163,7 +163,7 @@ pub fn broadcast<T: Clone + Send>(
             }
         }
         let mut out = RoundOutput::default();
-        while net.step_bulk_into(&mut out) {
+        while net.step(&mut out) {
             for d in out.deliveries.drain(..) {
                 let v = d.to;
                 received[v] += 1;
@@ -217,7 +217,7 @@ where
         }
     }
     let mut out = RoundOutput::default();
-    while net.step_bulk_into(&mut out) {
+    while net.step(&mut out) {
         for d in out.deliveries.drain(..) {
             let v = d.to;
             acc[v] = op(acc[v], d.payload);
@@ -241,7 +241,7 @@ where
             .expect("tree edges are links");
     }
     let mut out = RoundOutput::default();
-    while net.step_bulk_into(&mut out) {
+    while net.step(&mut out) {
         for d in out.deliveries.drain(..) {
             for &c in &tree.children[d.to] {
                 net.send(d.to, c, result, 1).expect("tree edges are links");

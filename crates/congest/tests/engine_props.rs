@@ -5,7 +5,9 @@
 //! Runs on `mwc_rng::proptest_lite`; new failures persist their case
 //! seed under `proplite-regressions/`.
 
-use mwc_congest::{broadcast, multi_source_bfs, BfsTree, Ledger, MultiBfsSpec, Network};
+use mwc_congest::{
+    broadcast, multi_source_bfs, BfsTree, Ledger, MultiBfsSpec, Network, RoundOutput,
+};
 use mwc_graph::generators::{connected_gnm, WeightRange};
 use mwc_graph::seq::{bfs, Direction, HOP_INF};
 use mwc_graph::{Graph, NodeId, Orientation};
@@ -24,8 +26,9 @@ prop_tests! {
             net.send(0, 1, i, w).unwrap();
         }
         let mut received = Vec::new();
-        while let Some(out) = net.step_fast() {
-            for d in out.deliveries {
+        let mut out = RoundOutput::default();
+        while net.step(&mut out) {
+            for d in out.deliveries.drain(..) {
                 received.push((net.round(), d.payload));
             }
         }
@@ -51,8 +54,9 @@ prop_tests! {
             net.send_latency(0, 1, i, 1, lat).unwrap();
         }
         let mut arrivals = Vec::new();
-        while let Some(out) = net.step_fast() {
-            for d in out.deliveries {
+        let mut out = RoundOutput::default();
+        while net.step(&mut out) {
+            for d in out.deliveries.drain(..) {
                 arrivals.push((net.round(), d.payload));
             }
         }

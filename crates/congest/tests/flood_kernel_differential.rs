@@ -417,3 +417,39 @@ fn heavy_tail_latency_family_is_kernel_invariant() {
         assert!(bitset1 - bitset0 >= 2, "both floods ran the bitset kernel");
     }
 }
+
+/// Source detection charges a round in which nodes popped announcements
+/// but the budget `h` filtered every send, even while a stretched
+/// announcement is still in transit: the scalar loop must execute that
+/// one round, not fast-forward to the arrival. On `0→1 (w 1)`,
+/// `1→2 (w 5)`, `0→3 (w 3)` with `h = 4`, node 1 pops at round 2 and
+/// its only send (distance 6) is filtered while `0→3` is in flight until
+/// round 3; node 3 then pops with nothing to send, charging round 4.
+#[test]
+fn budget_filtered_round_is_kernel_invariant() {
+    let g = Graph::from_edges(4, Orientation::Directed, [(0, 1, 1), (1, 2, 5), (0, 3, 3)]).unwrap();
+    let lat = raw_weight_latency(&g);
+    let run = |kernel| {
+        let _cfg = with_kernel(kernel);
+        let cap = EventCapture::memory();
+        let mut ledger = Ledger::new();
+        let det = source_detection(
+            &g,
+            &[0],
+            4,
+            1,
+            Direction::Forward,
+            Some(&lat),
+            "probe/budget",
+            &mut ledger,
+        );
+        (
+            (ledger.rounds, ledger.words, ledger.messages),
+            det.lists,
+            cap.finish(),
+        )
+    };
+    let scalar = run(FloodKernel::Scalar);
+    assert_eq!(scalar.0, (4, 2, 2), "scalar rounds, words, messages");
+    assert_eq!(run(FloodKernel::Bitset), scalar);
+}

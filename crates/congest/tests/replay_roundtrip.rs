@@ -5,6 +5,7 @@
 
 use mwc_congest::{
     first_divergence, multi_source_bfs, EventCapture, EventLog, Ledger, MultiBfsSpec, Network,
+    RoundOutput,
 };
 use mwc_graph::generators::{connected_gnm, WeightRange};
 use mwc_graph::Orientation;
@@ -65,9 +66,7 @@ fn bisect_locates_single_extra_message_in_real_workload() {
         multi_source_bfs(&g, &[0, 7], &MultiBfsSpec::default(), "bfs", &mut ledger);
         let mut net: Network<u8> = Network::new(&g);
         net.send(0, g.comm_neighbors(0)[0], 1, 1).unwrap();
-        while !net.is_idle() {
-            net.step();
-        }
+        while net.step(&mut RoundOutput::default()) {}
         ledger.absorb("extra", &net);
     });
     assert_eq!(b.messages.len(), a.messages.len() + 1);

@@ -91,7 +91,7 @@ fn echo_phase(g: &Graph, ledger: &mut Ledger) {
         }
     }
     let mut out = RoundOutput::default();
-    while net.step_fast_into(&mut out) {
+    while net.step(&mut out) {
         for v in out.wakeups.drain(..) {
             if let Some(&w) = g.comm_neighbors(v).first() {
                 net.send(v, w, (u32::MAX, 0), 3).expect("neighbors");

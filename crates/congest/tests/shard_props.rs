@@ -140,8 +140,7 @@ prop_tests! {
         }
         let mut fired: Vec<(u64, NodeId)> = Vec::new();
         let mut out = RoundOutput::default();
-        while !net.is_idle() {
-            net.step_into(&mut out);
+        while net.step(&mut out) {
             for v in out.wakeups.drain(..) {
                 fired.push((net.round(), v));
             }

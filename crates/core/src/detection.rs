@@ -132,7 +132,7 @@ pub fn shortest_cycle_within(g: &Graph, q: u64) -> MwcOutcome {
             std::collections::HashMap<NodeId, std::sync::Arc<Vec<(u32, Weight, u32)>>>,
         > = vec![std::collections::HashMap::new(); n];
         let mut out = RoundOutput::default();
-        while net.step_bulk_into(&mut out) {
+        while net.step(&mut out) {
             for d in out.deliveries.drain(..) {
                 nbr[d.to].insert(d.from, d.payload);
             }

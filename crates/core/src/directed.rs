@@ -454,7 +454,7 @@ fn short_cycles_restricted_bfs(
     let mut nbr_to_s: Vec<HashMap<NodeId, Arc<Vec<Weight>>>> = vec![HashMap::new(); n];
     let mut nbr_from_s: Vec<HashMap<NodeId, Arc<Vec<Weight>>>> = vec![HashMap::new(); n];
     let mut out = RoundOutput::default();
-    while net.step_bulk_into(&mut out) {
+    while net.step(&mut out) {
         for d in out.deliveries.drain(..) {
             nbr_to_s[d.to].insert(d.from, d.payload.0);
             nbr_from_s[d.to].insert(d.from, d.payload.1);
@@ -611,7 +611,7 @@ fn short_cycles_restricted_bfs(
             bfs_net.send_on_link(*link as usize, (), msg.words(), 0);
         }
         let mut drained = RoundOutput::default();
-        while bfs_net.step_bulk_into(&mut drained) {}
+        while bfs_net.step(&mut drained) {}
         phase_rounds_total = bfs_net.round();
         // Schedule arrivals at entry phase + stretch, read off the plan
         // hop — no edge-id recovery.

@@ -29,7 +29,7 @@ pub(crate) fn exchange_with_neighbors<T: Clone + Send>(
     }
     let mut got: Vec<HashMap<NodeId, T>> = vec![HashMap::new(); n];
     let mut out = RoundOutput::default();
-    while net.step_bulk_into(&mut out) {
+    while net.step(&mut out) {
         for d in out.deliveries.drain(..) {
             got[d.to].insert(d.from, d.payload);
         }

@@ -25,6 +25,11 @@
 use crate::graph::{Graph, GraphError, Orientation};
 use std::fmt;
 
+/// The largest vertex count the simulator accepts. Its node ids are stored
+/// in 32 bits (flood-plan hops, distance-matrix predecessors, whose
+/// `u32::MAX` marks "no predecessor"), so ids stay below `u32::MAX`.
+pub const MAX_VERTICES: usize = u32::MAX as usize;
+
 /// Errors produced by [`parse_edge_list`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ParseGraphError {
@@ -34,6 +39,11 @@ pub enum ParseGraphError {
     BadHeader {
         /// The offending header line.
         line: String,
+    },
+    /// The header declared more than [`MAX_VERTICES`] vertices.
+    TooManyVertices {
+        /// The declared vertex count.
+        n: usize,
     },
     /// An edge line did not parse.
     BadEdge {
@@ -61,6 +71,9 @@ impl fmt::Display for ParseGraphError {
                     "bad header {line:?}: expected \"<n> directed|undirected\""
                 )
             }
+            ParseGraphError::TooManyVertices { n } => {
+                write!(f, "{n} vertices: at most {MAX_VERTICES} are supported")
+            }
             ParseGraphError::BadEdge { line_no, line } => {
                 write!(f, "line {line_no}: bad edge {line:?}: expected \"u v [w]\"")
             }
@@ -84,7 +97,8 @@ impl std::error::Error for ParseGraphError {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseGraphError`] pinpointing the offending line.
+/// Returns a [`ParseGraphError`] pinpointing the offending line, before
+/// allocating anything for a header above [`MAX_VERTICES`].
 pub fn parse_edge_list(text: &str) -> Result<Graph, ParseGraphError> {
     let mut lines = text
         .lines()
@@ -102,6 +116,9 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, ParseGraphError> {
         .ok_or_else(bad_header)?
         .parse()
         .map_err(|_| bad_header())?;
+    if n > MAX_VERTICES {
+        return Err(ParseGraphError::TooManyVertices { n });
+    }
     let orientation = match h.next().unwrap_or("undirected") {
         "directed" => Orientation::Directed,
         "undirected" => Orientation::Undirected,
@@ -179,6 +196,13 @@ mod tests {
             parse_edge_list("3 sideways"),
             Err(ParseGraphError::BadHeader { .. })
         ));
+        // Rejected before anything is allocated for the vertices.
+        for n in [u64::MAX, 5_000_000_000, u32::MAX as u64 + 1] {
+            assert_eq!(
+                parse_edge_list(&format!("{n} undirected")),
+                Err(ParseGraphError::TooManyVertices { n: n as usize })
+            );
+        }
         assert!(matches!(
             parse_edge_list("3 directed\n0 x"),
             Err(ParseGraphError::BadEdge { line_no: 2, .. })

@@ -26,6 +26,7 @@ use congest_mwc::core::{
     k_source_bfs, shortest_cycle_within, two_approx_directed_mwc, MwcOutcome, Params,
 };
 use congest_mwc::graph::generators::{connected_gnm, grid, ring_with_chords, WeightRange};
+use congest_mwc::graph::io::MAX_VERTICES;
 use congest_mwc::graph::{Graph, NodeId, Orientation};
 use std::process::ExitCode;
 
@@ -99,27 +100,31 @@ fn parse_graph(spec: &str) -> Result<Graph, String> {
     let num = |i: usize, default: usize| -> usize {
         parts.get(i).and_then(|t| t.parse().ok()).unwrap_or(default)
     };
+    // Checked before any generator allocates.
+    let vertices = |n: usize| match n {
+        0..=MAX_VERTICES => Ok(n),
+        _ => Err(format!(
+            "{n} vertices: at most {MAX_VERTICES} are supported"
+        )),
+    };
     match parts[0] {
         "gnm" => {
-            let n = num(1, 100);
+            let n = vertices(num(1, 100))?;
             let extra = num(2, 2 * n);
             Ok(connected_gnm(n, extra, orientation, weights, seed))
         }
         "ring" => {
-            let n = num(1, 100);
+            let n = vertices(num(1, 100))?;
             let chords = num(2, 0);
             Ok(ring_with_chords(n, chords, orientation, weights, seed))
         }
         "grid" => {
             let dims = parts.get(1).ok_or("grid needs <rows>x<cols>")?;
             let (r, c) = dims.split_once('x').ok_or("grid needs <rows>x<cols>")?;
-            Ok(grid(
-                r.parse().map_err(|_| "bad rows")?,
-                c.parse().map_err(|_| "bad cols")?,
-                orientation,
-                weights,
-                seed,
-            ))
+            let rows: usize = r.parse().map_err(|_| "bad rows")?;
+            let cols: usize = c.parse().map_err(|_| "bad cols")?;
+            vertices(rows.saturating_mul(cols))?;
+            Ok(grid(rows, cols, orientation, weights, seed))
         }
         "file" => {
             let path = parts.get(1).ok_or("file needs a path")?;
