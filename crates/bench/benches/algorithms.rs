@@ -6,8 +6,10 @@
 //! in `results/bench/algorithms.json`.
 
 use mwc_bench::stopwatch::Suite;
-use mwc_core::{approx_girth, exact_mwc, two_approx_directed_mwc, Params};
+use mwc_core::ksssp::pick_h;
+use mwc_core::{approx_girth, exact_mwc, k_source_bfs, two_approx_directed_mwc, Params};
 use mwc_graph::generators::{connected_gnm, WeightRange};
+use mwc_graph::seq::Direction;
 use mwc_graph::Orientation;
 use std::hint::black_box;
 
@@ -30,9 +32,30 @@ fn bench_approx(suite: &mut Suite) {
     });
 }
 
+/// Algorithm 1 on the skeleton branch, where its local combine
+/// (`k·n·|S|`) runs next to the `h`-hop floods.
+fn bench_ksssp(suite: &mut Suite) {
+    let (n, k) = (1024, 200);
+    assert!(
+        pick_h(n, k) as usize + 1 < n,
+        "k = {k} must take the skeleton branch"
+    );
+    let g = connected_gnm(n, 3 * n, Orientation::Directed, WeightRange::unit(), 5);
+    let sources: Vec<usize> = (0..k).map(|i| i * n / k).collect();
+    let params = Params::new().with_seed(3);
+    suite.bench("ksssp/k_source_bfs_directed_1024", || {
+        black_box(
+            k_source_bfs(&g, &sources, Direction::Forward, &params)
+                .ledger
+                .rounds,
+        )
+    });
+}
+
 fn main() {
     let mut suite = Suite::new("algorithms");
     bench_exact(&mut suite);
     bench_approx(&mut suite);
+    bench_ksssp(&mut suite);
     suite.finish();
 }

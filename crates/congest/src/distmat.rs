@@ -92,6 +92,13 @@ impl DistMatrix {
         self.dist[v * self.k() + row]
     }
 
+    /// Node `v`'s distances from every source, in row order: the
+    /// contiguous `k`-long column `[v * k, (v + 1) * k)` of the table.
+    pub fn column(&self, v: NodeId) -> &[Weight] {
+        let k = self.k();
+        &self.dist[v * k..(v + 1) * k]
+    }
+
     /// Sets the distance and predecessor for `(row, v)`.
     pub fn set_row(&mut self, row: usize, v: NodeId, d: Weight, pred: Option<NodeId>) {
         let i = v * self.k() + row;
@@ -180,6 +187,10 @@ mod tests {
         m.set_row(0, 0, 7, Some(2));
         assert_eq!(m.get(2, 0), 7);
         assert_eq!(m.pred_row(0, 0), Some(2));
+
+        let mut m = DistMatrix::new(3, vec![2, 0]);
+        m.set_row(1, 1, 4, Some(0));
+        assert_eq!(m.column(1), &[INF, 4]);
     }
 
     #[test]

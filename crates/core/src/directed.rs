@@ -485,11 +485,11 @@ fn short_cycles_restricted_bfs(
     // future[p % window] = messages arriving at phase p (stretch ≥ 1).
     let max_stretch = match mode {
         Mode::Unweighted => 1,
-        Mode::Stretched { latency, .. } => {
-            latency.iter().copied().max().unwrap_or(1).max(1) as usize
-        }
+        Mode::Stretched { latency, .. } => latency.iter().copied().max().unwrap_or(1).max(1),
     };
-    let window = max_stretch + 1;
+    // The phase loop never schedules a send with `ell > budget`, so the
+    // pending arrivals span at most `budget` phases whatever the stretch.
+    let window = max_stretch.min(budget) as usize + 1;
     let mut future: Vec<Vec<(NodeId, NodeId, BfsMsg)>> = vec![Vec::new(); window];
     let mut bfs_net: Network<()> = Network::new_auto(g); // round accounting only
     let mut phase_rounds_total = 0u64;

@@ -20,14 +20,74 @@
 //! because line 7's broadcast is global, so the combination step is local
 //! and no extra rounds are charged — the information flow is identical and
 //! the round total is dominated by the same phases (DESIGN.md §2).
+//!
+//! That local combine is a `k·n·|S|` min-plus product, the largest local
+//! cost of the pipeline. For [`k_source_bfs`] it is mostly skipped: on an
+//! unweighted graph a finite `h`-hop BFS distance already is the true hop
+//! distance, and every skeleton candidate is the length of a real walk, so
+//! only unreached (`INF`) entries take the min over samples. The weighted
+//! segments of [`k_source_approx_sssp`] are not exact in that sense; there
+//! every reached sample's row is swept in full.
 
 use crate::params::Params;
-use crate::pipeline::{skeleton_pipeline, Pipeline};
+use crate::pipeline::{min_plus_dot, skeleton_pipeline, Pipeline, Segments};
 use crate::scaling::{scaled_hop_sssp, EpsQ, ScaledSegments};
 use crate::util::simplify_path;
 use mwc_congest::{multi_source_bfs, DistMatrix, Ledger, MultiBfsSpec, PhaseCache, INF};
 use mwc_graph::seq::Direction;
 use mwc_graph::{Graph, NodeId, Weight};
+
+/// Unweighted hop-distance segments (`latency: None`), the segments of
+/// [`k_source_bfs`]. Built by [`HopSegments::bfs`], and by
+/// [`KSourceDistances::from_direct`] around the repeated exact BFS.
+#[derive(Clone, Debug)]
+pub(crate) struct HopSegments(DistMatrix);
+
+impl HopSegments {
+    /// Unweighted forward BFS from `sources`, bounded by `h` hops.
+    pub(crate) fn bfs(
+        g: &Graph,
+        sources: &[NodeId],
+        h: u64,
+        label: &str,
+        ledger: &mut Ledger,
+    ) -> Self {
+        let spec = MultiBfsSpec {
+            max_dist: h,
+            direction: Direction::Forward,
+            latency: None,
+        };
+        HopSegments(multi_source_bfs(g, sources, &spec, label, ledger))
+    }
+}
+
+/// Hop-exact. On an unweighted graph a finite `d_h(u,v)` is the true hop
+/// distance `d(u,v)`: if `d(u,v) ≤ h` the bounded BFS finds it, and if
+/// `d(u,v) > h` no path of at most `h` hops exists, so the entry is
+/// [`INF`]. Every skeleton candidate `d(u,s) + d_h(s,v)` is the length of
+/// a real walk, hence `≥ d(u,v)`, so Algorithm 1's combine only has to
+/// fill the `INF` entries.
+impl Segments for HopSegments {
+    const HOP_EXACT: bool = true;
+
+    fn get(&self, row: usize, v: NodeId) -> Weight {
+        self.0.get_row(row, v)
+    }
+
+    fn path(&self, row: usize, v: NodeId) -> Option<Vec<NodeId>> {
+        self.0.path_from_source(row, v)
+    }
+
+    /// The table is node-major, so node `v`'s sample distances are one
+    /// contiguous column; only `INF` entries of `out` read it.
+    fn relax_via_samples(&self, d_us_row: &[Weight], out: &mut [Weight]) {
+        for (v, o) in out.iter_mut().enumerate() {
+            if *o == INF {
+                *o = min_plus_dot(d_us_row, self.0.column(v).iter().copied());
+            }
+        }
+    }
+}
 
 /// Exact hop distances from `k` sources with path reconstruction; produced
 /// by [`k_source_bfs`].
@@ -35,7 +95,7 @@ use mwc_graph::{Graph, NodeId, Weight};
 pub struct KSourceDistances {
     sources: Vec<NodeId>,
     flipped: bool,
-    pipe: Pipeline<DistMatrix>,
+    pipe: Pipeline<HopSegments>,
     /// Round/traffic accounting for the whole computation.
     pub ledger: Ledger,
 }
@@ -113,14 +173,16 @@ impl KSourceDistances {
         KSourceDistances {
             sources,
             flipped: false,
-            pipe: Pipeline::Direct(mat),
+            pipe: Pipeline::Direct(HopSegments(mat)),
             ledger,
         }
     }
 }
 
-/// `h = ⌈√(nk)⌉`, the paper's parameter choice.
-pub(crate) fn pick_h(n: usize, k: usize) -> u64 {
+/// `h = ⌈√(nk)⌉`, the paper's segment hop bound for `k` sources. The
+/// `k`-source entry points run the skeleton pipeline iff `h + 1 < n`, and
+/// one unbounded search otherwise.
+pub fn pick_h(n: usize, k: usize) -> u64 {
     ((n as f64 * k as f64).sqrt().ceil() as u64).max(1)
 }
 
@@ -174,31 +236,21 @@ pub fn k_source_bfs(
     let mut ledger = Ledger::new();
 
     let pipe = if h as usize + 1 >= n {
-        let spec = MultiBfsSpec {
-            max_dist: INF,
-            direction: Direction::Forward,
-            latency: None,
-        };
-        Pipeline::Direct(multi_source_bfs(
+        Pipeline::Direct(HopSegments::bfs(
             g,
             sources,
-            &spec,
+            INF,
             "k-source BFS (direct)",
             &mut ledger,
         ))
     } else {
-        let spec = MultiBfsSpec {
-            max_dist: h,
-            direction: Direction::Forward,
-            latency: None,
-        };
         skeleton_pipeline(
             g,
             sources,
             h,
             params,
             &mut ledger,
-            |g, srcs, label, ledger| multi_source_bfs(g, srcs, &spec, label, ledger),
+            |g, srcs, label, ledger| HopSegments::bfs(g, srcs, h, label, ledger),
         )
     };
     // Charge the reverse h-hop BFS from S that lets samples know their

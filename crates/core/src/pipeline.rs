@@ -6,6 +6,20 @@
 //! stretched BFS for the `(1+ε)` weighted variant (§2, "Weighted Graphs").
 //! This module implements the structure once, generic over a [`Segments`]
 //! provider.
+//!
+//! # The local combine
+//!
+//! Lines 8–10 charge no rounds, but they are the pipeline's largest local
+//! cost: lines 9–10, `d(u,v) = min(d_h(u,v), min_s d(u,s) + d_h(s,v))`,
+//! are a `k·n·|S|` min-plus product (line 8 is the same over the
+//! skeleton, `k·|S|²`). Every skeleton candidate `d(u,s) + d_h(s,v)` is the length
+//! of a real walk, so it never undercuts the true distance. When the
+//! segments are **hop-exact** ([`Segments::HOP_EXACT`]: a finite entry
+//! already *is* the true distance) the combine therefore keeps every
+//! finite entry and takes the min over samples only for the `INF` ones.
+//! Otherwise it sweeps whole contiguous sample rows branch-free with
+//! saturating adds, skipping only samples the source never reached.
+//! Both give exactly the values of the plain triple loop.
 
 use crate::params::Params;
 use crate::util::sample_vertices;
@@ -16,11 +30,37 @@ pub(crate) const SALT_SAMPLES: u64 = 0xA1;
 
 /// An `h`-bounded multi-source distance table with path reconstruction.
 pub(crate) trait Segments {
+    /// `true` iff every finite entry is already the exact (unbounded)
+    /// distance, so no skeleton walk can improve it. The producer declares
+    /// this, with its proof, on its impl.
+    const HOP_EXACT: bool;
     /// Distance from the `row`-th source to `v`, [`INF`] if not found.
     fn get(&self, row: usize, v: NodeId) -> Weight;
     /// A real path from the `row`-th source to `v` realizing (at most) the
     /// reported distance, in forward orientation.
     fn path(&self, row: usize, v: NodeId) -> Option<Vec<NodeId>>;
+    /// Lines 9–10 for one source, with `self` the sample segments: lowers
+    /// every `out[v]` not settled by [`Segments::HOP_EXACT`] to
+    /// `min_si d_us_row[si] + self.get(si, v)`, reading `self` in its own
+    /// storage order.
+    fn relax_via_samples(&self, d_us_row: &[Weight], out: &mut [Weight]);
+}
+
+/// `min_t a[t] + b[t]`, [`INF`] if no pair is finite. Saturating adds
+/// make an `INF` operand absorb without a branch.
+pub(crate) fn min_plus_dot(a: &[Weight], b: impl IntoIterator<Item = Weight>) -> Weight {
+    a.iter()
+        .zip(b)
+        .map(|(&a, b)| a.saturating_add(b))
+        .fold(INF, Weight::min)
+}
+
+/// `out[v] = min(out[v], a + b[v])` for every `v`, branch-free: an `INF`
+/// in `b` saturates and leaves `out[v]` alone.
+pub(crate) fn min_plus_sweep(out: &mut [Weight], a: Weight, b: &[Weight]) {
+    for (o, &b) in out.iter_mut().zip(b) {
+        *o = (*o).min(a.saturating_add(b));
+    }
 }
 
 /// Output of [`skeleton_pipeline`].
@@ -229,42 +269,41 @@ pub(crate) fn skeleton_pipeline<S: Segments>(
             .collect()
     };
 
-    // Line 8 (local everywhere): source→sample distances via entry samples.
+    // Line 8 (local everywhere): source→sample distances via entry samples,
+    // pruned or swept as in the module docs. Updating in place is exact: a lowered `d[t] = d_h(u,t') + skel(t',t)`
+    // only adds candidates `≥ d_h(u,t') + skel(t',si)`, by the triangle
+    // inequality of the skeleton APSP.
     let mut d_us = vec![INF; k * ns];
     for &(row, si, d) in &us_edges {
         let cell = &mut d_us[row as usize * ns + si as usize];
         *cell = (*cell).min(d);
     }
-    let d_us_hop = d_us.clone();
     for row in 0..k {
-        for si in 0..ns {
-            let mut best = d_us[row * ns + si];
-            for t in 0..ns {
-                let a = d_us_hop[row * ns + t];
-                let b = skel_dist[t * ns + si];
-                if a != INF && b != INF {
-                    best = best.min(a + b);
+        let d = &mut d_us[row * ns..(row + 1) * ns];
+        if S::HOP_EXACT {
+            for si in 0..ns {
+                if d[si] == INF {
+                    d[si] = min_plus_dot(d, skel_dist[si..].iter().step_by(ns).copied());
                 }
             }
-            d_us[row * ns + si] = best;
+        } else {
+            for t in 0..ns {
+                let a = d[t];
+                if a != INF {
+                    min_plus_sweep(d, a, &skel_dist[t * ns..(t + 1) * ns]);
+                }
+            }
         }
     }
 
     // Lines 9–10 (local, justified by the global broadcasts — see the
     // ksssp module docs): combine.
     let mut final_dist = vec![INF; k * n];
-    for row in 0..k {
-        for v in 0..n {
-            let mut best = seg_u.get(row, v);
-            for si in 0..ns {
-                let a = d_us[row * ns + si];
-                let b = seg_s.get(si, v);
-                if a != INF && b != INF {
-                    best = best.min(a + b);
-                }
-            }
-            final_dist[row * n + v] = best;
+    for (row, out) in final_dist.chunks_exact_mut(n).enumerate() {
+        for (v, o) in out.iter_mut().enumerate() {
+            *o = seg_u.get(row, v);
         }
+        seg_s.relax_via_samples(&d_us[row * ns..(row + 1) * ns], out);
     }
 
     Pipeline::Skeleton(Box::new(SkeletonParts {
@@ -282,10 +321,128 @@ pub(crate) fn skeleton_pipeline<S: Segments>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mwc_congest::{multi_source_bfs, DistMatrix, MultiBfsSpec};
-    use mwc_graph::generators::{ring_with_chords, WeightRange};
-    use mwc_graph::seq::Direction;
+    use crate::ksssp::HopSegments;
+    use crate::scaling::{scaled_hop_sssp, EpsQ};
+    use mwc_graph::generators::{connected_gnm, ring_with_chords, WeightRange};
     use mwc_graph::Orientation;
+
+    fn skeleton_parts<S: Segments>(
+        g: &Graph,
+        sources: &[NodeId],
+        h: u64,
+        seed: u64,
+        runner: impl FnMut(&Graph, &[NodeId], &str, &mut Ledger) -> S,
+    ) -> Box<SkeletonParts<S>> {
+        let params = Params::new().with_seed(seed);
+        let pipe = skeleton_pipeline(g, sources, h, &params, &mut Ledger::new(), runner);
+        let Pipeline::Skeleton(parts) = pipe else {
+            panic!("direct skeleton_pipeline call must produce the skeleton variant");
+        };
+        parts
+    }
+
+    /// Lines 8–10 as the plain triple loops over every entry: the oracle
+    /// the pruned and swept combine must match exactly.
+    fn reference_combine<S: Segments>(parts: &SkeletonParts<S>, k: usize) -> [Vec<Weight>; 3] {
+        let (n, ns) = (parts.n, parts.ns());
+        let mut d_us_hop = vec![INF; k * ns];
+        for row in 0..k {
+            for (si, &s) in parts.samples.iter().enumerate() {
+                d_us_hop[row * ns + si] = parts.seg_u.get(row, s);
+            }
+        }
+        let mut d_us = d_us_hop.clone();
+        for row in 0..k {
+            for si in 0..ns {
+                let mut best = d_us_hop[row * ns + si];
+                for t in 0..ns {
+                    let a = d_us_hop[row * ns + t];
+                    let b = parts.skel_dist[t * ns + si];
+                    if a != INF && b != INF {
+                        best = best.min(a + b);
+                    }
+                }
+                d_us[row * ns + si] = best;
+            }
+        }
+        let mut final_dist = vec![INF; k * n];
+        for row in 0..k {
+            for v in 0..n {
+                let mut best = parts.seg_u.get(row, v);
+                for si in 0..ns {
+                    let a = d_us[row * ns + si];
+                    let b = parts.seg_s.get(si, v);
+                    if a != INF && b != INF {
+                        best = best.min(a + b);
+                    }
+                }
+                final_dist[row * n + v] = best;
+            }
+        }
+        [d_us_hop, d_us, final_dist]
+    }
+
+    /// Checks `parts` against [`reference_combine`] and returns how many
+    /// finite entries line 8 lowered, how many `INF` entries lines 9–10
+    /// started from, and how many finite entries lines 9–10 lowered.
+    fn check_combine<S: Segments>(parts: &SkeletonParts<S>, k: usize) -> [usize; 3] {
+        let [d_us_hop, d_us, final_dist] = reference_combine(parts, k);
+        assert_eq!(parts.d_us, d_us, "line 8 differs from the triple loop");
+        assert_eq!(
+            parts.final_dist, final_dist,
+            "lines 9–10 differ from the triple loop"
+        );
+        let n = parts.n;
+        let seg_u: Vec<Weight> = (0..k * n).map(|i| parts.seg_u.get(i / n, i % n)).collect();
+        let lowered = |before: &[Weight], after: &[Weight]| {
+            before
+                .iter()
+                .zip(after)
+                .filter(|&(&b, &a)| b != INF && a < b)
+                .count()
+        };
+        [
+            lowered(&d_us_hop, &d_us),
+            seg_u.iter().filter(|&&d| d == INF).count(),
+            lowered(&seg_u, &final_dist),
+        ]
+    }
+
+    #[test]
+    fn hop_exact_combine_matches_the_triple_loop() {
+        let ring = ring_with_chords(96, 4, Orientation::Undirected, WeightRange::unit(), 11);
+        let gnm = connected_gnm(200, 240, Orientation::Directed, WeightRange::unit(), 7);
+        for (g, sources, h) in [
+            (&ring, &[0usize, 17][..], 8u64),
+            (&gnm, &[0, 50, 99, 150], 6),
+        ] {
+            let parts = skeleton_parts(g, sources, h, 5, |g, srcs, label, ledger| {
+                HopSegments::bfs(g, srcs, h, label, ledger)
+            });
+            let [us_lowered, u_inf, u_lowered] = check_combine(&parts, sources.len());
+            assert!(u_inf > 0, "no INF segment entry: the fill path never ran");
+            assert_eq!(
+                (us_lowered, u_lowered),
+                (0, 0),
+                "a skeleton walk undercut a finite hop distance"
+            );
+        }
+    }
+
+    #[test]
+    fn approximate_combine_matches_the_triple_loop() {
+        let g = ring_with_chords(96, 6, Orientation::Directed, WeightRange::uniform(1, 32), 3);
+        let sources = [0usize, 40, 71];
+        let (h, eps) = (8u64, EpsQ::from_f64(0.25));
+        let parts = skeleton_parts(&g, &sources, h, 2, |g, srcs, label, ledger| {
+            scaled_hop_sssp(g, srcs, h, eps, label, ledger)
+        });
+        let [us_lowered, u_inf, u_lowered] = check_combine(&parts, sources.len());
+        assert!(u_inf > 0, "no INF segment entry");
+        // Lowered finite entries are what a hop-exact shortcut would skip.
+        assert!(us_lowered > 0, "line 8 never improved a finite entry");
+        assert!(u_lowered > 0, "lines 9–10 never improved a finite entry");
+    }
 
     /// Witness soundness of [`SkeletonParts::path`]: every reconstructed
     /// path must be a walk over real edges from the source to `v` whose
@@ -301,24 +458,9 @@ mod tests {
         let g = ring_with_chords(96, 4, Orientation::Undirected, WeightRange::unit(), 11);
         let sources = [0usize, 17];
         let h = 8u64;
-        let params = Params::new().with_seed(5);
-        let mut ledger = Ledger::new();
-        let spec = MultiBfsSpec {
-            max_dist: h,
-            direction: Direction::Forward,
-            latency: None,
-        };
-        let pipe: Pipeline<DistMatrix> = skeleton_pipeline(
-            &g,
-            &sources,
-            h,
-            &params,
-            &mut ledger,
-            |g, srcs, label, ledger| multi_source_bfs(g, srcs, &spec, label, ledger),
-        );
-        let Pipeline::Skeleton(parts) = pipe else {
-            panic!("direct skeleton_pipeline call must produce the skeleton variant");
-        };
+        let parts = skeleton_parts(&g, &sources, h, 5, |g, srcs, label, ledger| {
+            HopSegments::bfs(g, srcs, h, label, ledger)
+        });
 
         let n = g.n();
         let ns = parts.samples.len();
@@ -345,7 +487,7 @@ mod tests {
                     "witness weight {w} > final_dist {d} (row {row}, v {v})"
                 );
 
-                if parts.seg_u.get_row(row, v) == INF {
+                if parts.seg_u.get(row, v) == INF {
                     beyond_segment += 1;
                     // Re-derive the argmin sample the way `path` does; if
                     // its direct entry is worse than the combined
@@ -353,11 +495,11 @@ mod tests {
                     // expand skeleton hops.
                     if let Some(si) = (0..ns)
                         .filter(|&si| {
-                            parts.d_us[row * ns + si] != INF && parts.seg_s.get_row(si, v) != INF
+                            parts.d_us[row * ns + si] != INF && parts.seg_s.get(si, v) != INF
                         })
-                        .min_by_key(|&si| parts.d_us[row * ns + si] + parts.seg_s.get_row(si, v))
+                        .min_by_key(|&si| parts.d_us[row * ns + si] + parts.seg_s.get(si, v))
                     {
-                        if parts.seg_u.get_row(row, parts.samples[si]) > parts.d_us[row * ns + si] {
+                        if parts.seg_u.get(row, parts.samples[si]) > parts.d_us[row * ns + si] {
                             expanded_hops += 1;
                         }
                     }

@@ -18,7 +18,7 @@
 //!   are replaced by a single **exact** stretched run with latency `w(e)`
 //!   and budget `B`, which is both cheaper and tighter.
 
-use crate::pipeline::Segments;
+use crate::pipeline::{min_plus_sweep, Segments};
 use mwc_congest::{multi_source_bfs, DistMatrix, Ledger, MultiBfsSpec, PhaseCache, INF};
 use mwc_graph::seq::Direction;
 use mwc_graph::{Graph, NodeId, Weight};
@@ -89,7 +89,12 @@ impl ScaledSegments {
     }
 }
 
+/// Not hop-exact: an estimate is the best over at most `h` hops, rounded
+/// up per scale, so a longer-hop or better-rounded walk through the
+/// samples can still undercut a finite entry.
 impl Segments for ScaledSegments {
+    const HOP_EXACT: bool = false;
+
     fn get(&self, row: usize, v: NodeId) -> Weight {
         self.est[row * self.n + v]
     }
@@ -101,15 +106,15 @@ impl Segments for ScaledSegments {
         let run = &self.runs[self.choice[row * self.n + v] as usize];
         run.mat.path_from_source(row, v)
     }
-}
 
-impl Segments for DistMatrix {
-    fn get(&self, row: usize, v: NodeId) -> Weight {
-        self.get_row(row, v)
-    }
-
-    fn path(&self, row: usize, v: NodeId) -> Option<Vec<NodeId>> {
-        self.path_from_source(row, v)
+    /// `est` is sample-major, so each reached sample is one contiguous
+    /// branch-free sweep over its row.
+    fn relax_via_samples(&self, d_us_row: &[Weight], out: &mut [Weight]) {
+        for (si, &a) in d_us_row.iter().enumerate() {
+            if a != INF {
+                min_plus_sweep(out, a, &self.est[si * self.n..(si + 1) * self.n]);
+            }
+        }
     }
 }
 

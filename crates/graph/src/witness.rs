@@ -46,6 +46,8 @@ pub enum WitnessError {
         /// Head endpoint.
         v: NodeId,
     },
+    /// The cycle's total weight exceeds [`Weight`]'s range.
+    WeightOverflow,
 }
 
 impl fmt::Display for WitnessError {
@@ -59,6 +61,7 @@ impl fmt::Display for WitnessError {
             }
             WitnessError::NodeOutOfRange { node } => write!(f, "vertex {node} not in graph"),
             WitnessError::MissingEdge { u, v } => write!(f, "edge ({u}, {v}) not in graph"),
+            WitnessError::WeightOverflow => write!(f, "cycle weight overflows a 64-bit word"),
         }
     }
 }
@@ -90,7 +93,8 @@ impl CycleWitness {
     ///
     /// Returns a [`WitnessError`] describing the first violated condition:
     /// minimum length (2 directed / 3 undirected), vertex range,
-    /// simplicity, and existence of every edge including the closing edge.
+    /// simplicity, existence of every edge including the closing edge, and
+    /// a total weight that fits in [`Weight`].
     ///
     /// # Examples
     ///
@@ -126,10 +130,10 @@ impl CycleWitness {
         for i in 0..self.vertices.len() {
             let u = self.vertices[i];
             let v = self.vertices[(i + 1) % self.vertices.len()];
-            match graph.weight(u, v) {
-                Some(w) => total += w,
-                None => return Err(WitnessError::MissingEdge { u, v }),
-            }
+            let w = graph
+                .weight(u, v)
+                .ok_or(WitnessError::MissingEdge { u, v })?;
+            total = total.checked_add(w).ok_or(WitnessError::WeightOverflow)?;
         }
         Ok(total)
     }
@@ -215,6 +219,31 @@ mod tests {
         assert_eq!(
             w.validate(&triangle()),
             Err(WitnessError::NodeOutOfRange { node: 17 })
+        );
+    }
+
+    #[test]
+    fn overflowing_weight_is_rejected() {
+        let big = Weight::MAX / 2;
+        let g = Graph::from_edges(
+            3,
+            Orientation::Undirected,
+            [(0, 1, big), (1, 2, big), (2, 0, 2)],
+        )
+        .unwrap();
+        assert_eq!(
+            CycleWitness::new(vec![0, 1, 2]).validate(&g),
+            Err(WitnessError::WeightOverflow)
+        );
+        let fits = Graph::from_edges(
+            3,
+            Orientation::Undirected,
+            [(0, 1, big), (1, 2, big), (2, 0, 1)],
+        )
+        .unwrap();
+        assert_eq!(
+            CycleWitness::new(vec![0, 1, 2]).validate(&fits),
+            Ok(Weight::MAX)
         );
     }
 

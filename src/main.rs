@@ -135,6 +135,27 @@ fn parse_graph(spec: &str) -> Result<Graph, String> {
     }
 }
 
+/// Rejects weights outside the word model before any solve. Every
+/// distance an entry point forms stays below `32·n²·W`. The largest
+/// per-edge length is a stretched latency `⌈16·h·w/(en·2^s)⌉`
+/// (`scaling::stretched_latency_table`, with `en, 2^s ≥ 1`), at most
+/// `16·n·W` since every hop bound `h ≤ n`. A path has fewer than `n`
+/// edges, and the factor 2 covers one more edge on top of a path: an
+/// in-transit announcement or a cycle's closing edge. Below `2^63`, a sum
+/// of two distances never reaches the `INF` sentinel `2^64 − 1`.
+fn check_word_model(g: &Graph) -> Result<(), String> {
+    let n = g.n() as u64;
+    let n2x32 = n.checked_mul(n).and_then(|n2| n2.checked_mul(32));
+    let limit = n2x32.map_or(0, |c| i64::MAX as u64 / c.max(1));
+    match g.max_weight() {
+        w if w <= limit => Ok(()),
+        w => Err(format!(
+            "max edge weight {w} exceeds the word model: distances up to 32·n²·W must fit \
+             in 63 bits, so W ≤ {limit} for n = {n}"
+        )),
+    }
+}
+
 fn report(label: &str, g: &Graph, out: &MwcOutcome, verbose: bool) {
     println!(
         "{label}: n = {}, m = {}, {} — {} rounds, {} words",
@@ -172,6 +193,10 @@ fn main() -> ExitCode {
     };
     if !g.is_comm_connected() {
         eprintln!("graph's communication topology is disconnected; CONGEST requires connectivity");
+        return ExitCode::from(2);
+    }
+    if let Err(e) = check_word_model(&g) {
+        eprintln!("{e}");
         return ExitCode::from(2);
     }
     let params = Params::new().with_seed(o.seed).with_epsilon(o.eps);

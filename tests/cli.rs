@@ -64,3 +64,47 @@ fn oversized_vertex_counts_are_rejected_before_allocating() {
         let _ = std::fs::remove_file(f.trim_start_matches("file:"));
     }
 }
+
+#[test]
+fn weights_beyond_the_word_model_are_rejected_before_solving() {
+    // For n = 3 the limit is W ≤ (2^63 − 1) / (32·3²).
+    let limit = 32_025_597_350_190_193u64;
+    let probes = [
+        ("undirected", "exact"),
+        ("undirected", "approx"),
+        ("directed", "exact"),
+        ("directed", "approx"),
+    ];
+    for (i, (orientation, command)) in probes.into_iter().enumerate() {
+        for w in [9_223_372_036_854_775_000, limit + 1, limit] {
+            let path = std::env::temp_dir().join(format!(
+                "congest_mwc_cli_heavy_{}_{i}.txt",
+                std::process::id()
+            ));
+            std::fs::write(
+                &path,
+                format!("3 {orientation}\n0 1 {w}\n1 2 {w}\n2 0 {w}\n"),
+            )
+            .unwrap();
+            let out = run(&[command, "--graph", &format!("file:{}", path.display())]);
+            let _ = std::fs::remove_file(&path);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let probe = format!("{command} on a {orientation} triangle, w = {w}");
+            if w == limit {
+                assert!(out.status.success(), "{probe}: {stderr}");
+                let weight = format!("MWC weight: {}", 3 * w);
+                assert!(
+                    String::from_utf8_lossy(&out.stdout).contains(&weight),
+                    "{probe}"
+                );
+                continue;
+            }
+            assert_eq!(out.status.code(), Some(2), "{probe}: {stderr}");
+            assert!(
+                stderr.contains(&format!("W ≤ {limit}")),
+                "{probe}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{probe}: {stderr}");
+        }
+    }
+}
