@@ -68,6 +68,41 @@ fn bench_stretched_bfs(suite: &mut Suite) {
     });
 }
 
+/// The flood shape of the weighted-stretch workload's k-source SSSP: 100
+/// sources on an undirected `connected_gnm(384, 2n)` with w ∈ [1, 32],
+/// one stretched latency table `⌈16·h·w / (en·2^s)⌉` (the `scaling`
+/// formula at h = ⌈√(n·k)⌉ = 196, ε = 1/4 so en = 4, and s = 10, the
+/// first scale run), and the shared budget `⌈32h/en⌉ + h` = 1 764. With
+/// this many sources the frontiers stay full, so per-word insert and
+/// pop costs dominate.
+fn bench_stretched_bfs_many_sources(suite: &mut Suite) {
+    let g = connected_gnm(
+        384,
+        768,
+        Orientation::Undirected,
+        WeightRange::uniform(1, 32),
+        16,
+    );
+    let (h, en, s) = (196u64, 4u64, 10u32);
+    let lat: Vec<Weight> = g
+        .edges()
+        .iter()
+        .map(|e| (16 * h * e.weight).div_ceil(en << s).max(1))
+        .collect();
+    let budget = (32 * h).div_ceil(en) + h;
+    let sources: Vec<NodeId> = (0..100).map(|i| i * 383 / 99).collect();
+    suite.bench("primitives/stretched_bfs_384n_100src", || {
+        let spec = MultiBfsSpec {
+            max_dist: budget,
+            direction: Direction::Forward,
+            latency: Some(&lat),
+        };
+        let mut ledger = Ledger::new();
+        let m = multi_source_bfs(&g, &sources, &spec, "b", &mut ledger);
+        black_box(m.get_row(0, 200))
+    });
+}
+
 fn bench_node_programs(suite: &mut Suite) {
     let g = grid(16, 16, Orientation::Undirected, WeightRange::unit(), 0);
     suite.bench("primitives/floodmax_256n", || {
@@ -97,6 +132,7 @@ fn main() {
     bench_source_detection(&mut suite);
     bench_convergecast(&mut suite);
     bench_stretched_bfs(&mut suite);
+    bench_stretched_bfs_many_sources(&mut suite);
     bench_node_programs(&mut suite);
     bench_raw_send_throughput(&mut suite);
     suite.finish();

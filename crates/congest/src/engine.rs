@@ -719,44 +719,59 @@ impl<M> Network<M> {
         }
     }
 
+    /// Charges one bitset-flood send over link `l` at send time: the
+    /// link's transferred word and its send-queue high-water at depth 1 —
+    /// the per-link half of what [`Network::send_on_link`] plus the
+    /// [`Network::step`] that moves the word would record. In the flood
+    /// primitives each directed link has a single sender, and a node
+    /// forwards at most one announcement per round, so a link carries at
+    /// most one word per round and its queue never holds more than one.
+    /// The round itself is closed by [`Network::charge_flood_round`],
+    /// which every round with a send reaches.
+    #[inline]
+    pub(crate) fn charge_flood_link(&mut self, l: u32) {
+        let l = l as usize;
+        self.stats.per_link_words[l] += 1;
+        let high = &mut self.stats.per_link_queue_high[l];
+        *high = (*high).max(1);
+    }
+
     /// Charges round `round` of a bitset flood without touching the queue
     /// machinery. `round` may jump ahead over quiet rounds, like
-    /// [`Network::step`]. `links` each carry one one-word
-    /// *transfer* this round, in send order (a link appears at most once:
-    /// in the flood primitives each directed link has a single sender,
-    /// and a node forwards at most one announcement per round).
-    /// `delivered` are the links whose messages *arrive* this round, in
-    /// delivery order: a send with latency `ℓ` transfers now but arrives
-    /// `ℓ` rounds later, so the flood kernel passes its zero-latency sends
-    /// first, in send order, then this round's [`crate::flood::CalendarRing`]
-    /// expiries — the scalar engine delivers same-round completions before
-    /// transit expiries.
+    /// [`Network::step`]. `transferred` is the number of one-word
+    /// transfers this round, whose links [`Network::charge_flood_link`]
+    /// has already charged. `delivered` are the links whose messages
+    /// *arrive* this round, in delivery order: a send with latency `ℓ`
+    /// transfers now but arrives `ℓ` rounds later, so the flood kernel
+    /// passes its zero-latency sends first, in send order, then this
+    /// round's [`crate::flood::CalendarRing`] expiries — the scalar engine
+    /// delivers same-round completions before transit expiries.
     ///
-    /// Reproduces, stat for stat and event for event, what
-    /// [`Network::send_on_link`] + one [`Network::step`] per charged round
-    /// would record for that traffic pattern: transfer stats (words,
-    /// per-link words, queue high-waters at depth 1, the active-round
-    /// histogram, first-reach peak tracking, the optional per-round
-    /// history) are charged only when `links` is nonempty — a
-    /// pure-arrival round is a quiet round that moves no words, matching an
-    /// engine step whose active set is empty — while the message count and
-    /// the message events follow `delivered`. This is what lets the bitset
-    /// flood kernel ([`crate::flood`]) bypass per-message queueing while
-    /// staying byte-identical to the engine-stepped scalar kernel in every
-    /// ledger count, congestion profile, and event log. A round with
-    /// neither transfers nor arrivals advances the round and records
-    /// nothing, exactly like a [`Network::step`] that a wakeup stops with
-    /// no link active (source detection charges such rounds when every
-    /// popped announcement is filtered by the distance budget).
+    /// Together with the per-send link charges, reproduces, stat for stat
+    /// and event for event, what [`Network::send_on_link`] + one
+    /// [`Network::step`] per charged round would record for that traffic
+    /// pattern: the round's transfer stats (words, the global queue
+    /// high-water at depth 1, the active-round histogram, first-reach peak
+    /// tracking, the optional per-round history) are charged only when
+    /// `transferred > 0` — a pure-arrival round is a quiet round that
+    /// moves no words, matching an engine step whose active set is empty —
+    /// while the message count and the message events follow `delivered`.
+    /// This is what lets the bitset flood kernel ([`crate::flood`]) bypass
+    /// per-message queueing while staying byte-identical to the
+    /// engine-stepped scalar kernel in every ledger count, congestion
+    /// profile, and event log. A round with neither transfers nor arrivals
+    /// advances the round and records nothing, exactly like a
+    /// [`Network::step`] that a wakeup stops with no link active (source
+    /// detection charges such rounds when every popped announcement is
+    /// filtered by the distance budget).
     pub(crate) fn charge_flood_round(
         &mut self,
         round: u64,
-        links: &[u32],
+        transferred: u64,
         delivered: impl ExactSizeIterator<Item = u32>,
     ) {
         debug_assert!(round > self.round, "flood rounds advance monotonically");
         self.round = round;
-        let transferred = links.len() as u64;
         if transferred > 0 {
             self.stats.active_rounds += 1;
             self.stats.round_histogram[hist_bucket(transferred)] += 1;
@@ -770,13 +785,6 @@ impl<M> Network<M> {
             self.stats.words += transferred;
             if self.stats.queue_high_water < 1 {
                 self.stats.queue_high_water = 1;
-            }
-            for &l in links {
-                let l = l as usize;
-                if self.stats.per_link_queue_high[l] < 1 {
-                    self.stats.per_link_queue_high[l] = 1;
-                }
-                self.stats.per_link_words[l] += 1;
             }
         }
         self.stats.messages += delivered.len() as u64;

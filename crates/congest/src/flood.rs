@@ -15,22 +15,42 @@
 //!   stale heap entries skipped lazily at pop time.
 //! - **Bitset**: frontiers are distance-bucketed u64 words, 64 source rows
 //!   per word, maintained *eagerly* (an improved or evicted announcement is
-//!   cleared with one AND-NOT instead of lingering as a stale heap entry),
-//!   and the engine's queue machinery is bypassed entirely. A send over a
-//!   zero-latency hop is delivered in its send round; a send over a hop of
-//!   stretch `ℓ + 1` is parked `ℓ` rounds ahead in a [`CalendarRing`].
-//!   Each round is charged in one pass through `Network::charge_flood_round`
-//!   (this round's sends as the transfers; the zero-latency sends, then
-//!   this round's calendar expiries, as the arrivals).
+//!   cleared with one AND-NOT instead of lingering as a stale heap entry;
+//!   a new one is ORed into or appended past the last word when it lands
+//!   at the tail, as it almost always does, and binary-searched into place
+//!   otherwise), and the engine's queue machinery is bypassed entirely.
+//!   A send over a zero-latency hop is delivered in its send round; a send
+//!   over a hop of stretch `ℓ + 1` is parked `ℓ` rounds ahead in a
+//!   [`CalendarRing`].
+//!   Links are charged at send time (`Network::charge_flood_link`: the
+//!   link's word and its depth-1 queue high-water), and each round is
+//!   closed in one `Network::charge_flood_round` call (the round's
+//!   transfer count; the zero-latency sends, then this round's calendar
+//!   expiries, as the arrivals). Every send is charged in the round it is
+//!   made, so charging its link early changes no statistic.
 //!
 //! Both kernels execute the *same schedule*: the pop order of a
 //! [`BitFrontier`] is exactly the `(distance, source row)` heap order,
 //! eager removal is observationally identical to lazy stale-skipping (a
 //! stale entry is popped and discarded for free; an eagerly-removed entry
 //! is simply never popped), and the ring expires arrivals in the transit
-//! heap's `(arrival round, send sequence)` order. The ledger keeps
-//! charging model-faithful rounds/words — bitset packing is an
-//! implementation detail, not a model change — so every run record,
+//! heap's `(arrival round, send sequence)` order.
+//!
+//! One thing about the stale entries *is* observable: the scalar loop
+//! re-pends a node while its heap holds any entry, stale or fresh, and
+//! the re-pend order feeds the next round's send order. The bitset kernel
+//! keeps that test exact with one word per node, the *ghost*: the largest
+//! stale `(distance, row)` the scalar heap would still hold. A pop of the
+//! fresh minimum `(d, row)` consumes exactly the stale entries below it,
+//! so the stale set survives the pop iff its maximum is above `(d, row)`
+//! — equality is impossible, because a row's best distance only
+//! decreases and an announcement once retired is never fresh again. So
+//! retiring an announcement takes the max, a pop clears the ghost when
+//! the ghost is below the popped entry, and a pop that finds no fresh
+//! entry clears it (the scalar walk drained the whole heap).
+//!
+//! The ledger keeps charging model-faithful rounds/words — bitset packing
+//! is an implementation detail, not a model change — so every run record,
 //! congestion profile, event log, and distance-table digest is
 //! byte-identical across kernels. The differential suites
 //! (`crates/congest/tests/flood_kernel_differential.rs`,
@@ -245,10 +265,21 @@ impl FloodPlan {
         &self.hops[self.start[v] as usize..self.start[v + 1] as usize]
     }
 
-    /// Largest hop latency in the plan: what the bitset kernel sizes its
-    /// [`CalendarRing`] for.
+    /// Largest hop latency in the plan.
     pub fn max_latency(&self) -> u64 {
         self.max_latency
+    }
+
+    /// The [`CalendarRing`] a flood over this plan with distance budget
+    /// `max_dist` parks its sends in, sized for the slowest hop that can
+    /// actually send: a sent announcement `d + dist_add` stays within
+    /// `max_dist`, and the hop's latency is `max(dist_add, 1) − 1`, so no
+    /// send is parked more than `max_dist − 1` rounds ahead, whatever
+    /// [`FloodPlan::max_latency`] says. Capping the window there leaves
+    /// the schedule unchanged and allocates at most `max_dist + 1`
+    /// buckets.
+    pub(crate) fn calendar<T: Ord>(&self, max_dist: Weight) -> CalendarRing<T> {
+        CalendarRing::new(self.max_latency.min(max_dist))
     }
 }
 
@@ -268,8 +299,10 @@ const RING_SPAN: u64 = 1 << 16;
 /// insert and pop for every arrival the window covers.
 ///
 /// The window covers rounds `[base, base + window)`, where `base` is the
-/// earliest undrained round. While the ring is sized for the plan
-/// (`window = max_latency + 1`), every send lands inside it: a send
+/// earliest undrained round. While the ring is sized for the slowest
+/// send (`window = max_latency + 1`, where `max_latency` bounds every
+/// parked latency: the flood kernel passes the slowest hop its budget
+/// lets send), every send lands inside it: a send
 /// charged at round `R = base` arrives in `[R + 1, R + max_latency]`, and
 /// the arrivals still pending lie in `[R, R + max_latency]`, so arrivals
 /// map injectively onto buckets and the bucket for round `R` holds
@@ -436,19 +469,21 @@ pub(crate) fn validate_sources(n: usize, sources: &[NodeId]) {
 /// bit of the first entry — `(d, row)` heap order by construction — and
 /// one AND-NOT retires any of a word's 64 rows. Unlike the scalar heap,
 /// the frontier is maintained eagerly: improvements and top-σ evictions
-/// *move bits* (into a companion *ghost* frontier) instead of leaving
-/// stale entries to skip at pop time, which is what makes pops
-/// unconditional (always fresh) in the bitset kernel's inner loop.
+/// *clear bits* instead of leaving stale entries to skip at pop time,
+/// which is what makes pops unconditional (always fresh) in the bitset
+/// kernel's inner loop.
 ///
-/// The ghost frontier exists purely for schedule fidelity: the scalar
-/// heap keeps superseded entries until a pop walks past them, and a
-/// node re-enters the pending list while *any* entry remains — stale or
-/// not. That re-pend timing feeds the next round's send order, which
-/// the event log and ledger histories observe. So the bitset kernel
-/// mirrors it: retired bits land in the ghost, [`BitFrontier::drain_below`]
-/// replays the pop-until-fresh walk (stale entries below the fresh
-/// minimum get consumed), and "outbox or ghost nonempty" is the re-pend
-/// test — byte-identical scheduling at bitset speed.
+/// Insertion is *tail-append* first: an announcement almost always lands
+/// at or past the frontier's last entry (a wave reaches a node at
+/// nondecreasing distances, and rows arrive in the order the neighbors
+/// forward them), so [`BitFrontier::insert`] ORs into the last entry when
+/// `(d, w)` equals it and pushes when it is greater, and only falls back
+/// to a binary search and a shifting insert otherwise.
+///
+/// What the scalar heap's stale entries still decide — the re-pend test —
+/// the kernel tracks as a one-word *ghost* beside each frontier (see
+/// `multibfs`'s `Frontiers`): the largest retired announcement the scalar
+/// heap would still hold.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct BitFrontier {
     /// Sorted, deduplicated by `(dist, word)`; every `bits` is nonzero.
@@ -457,8 +492,20 @@ pub(crate) struct BitFrontier {
 
 impl BitFrontier {
     /// Marks source row `row` fresh at distance `d` (idempotent).
+    #[inline]
     pub(crate) fn insert(&mut self, d: Weight, row: u32) {
         let (w, bit) = (row / 64, 1u64 << (row % 64));
+        match self.entries.last_mut() {
+            Some(last) if (last.0, last.1) == (d, w) => {
+                last.2 |= bit;
+                return;
+            }
+            Some(last) if (last.0, last.1) > (d, w) => {}
+            _ => {
+                self.entries.push((d, w, bit));
+                return;
+            }
+        }
         match self.entries.binary_search_by_key(&(d, w), |e| (e.0, e.1)) {
             Ok(i) => self.entries[i].2 |= bit,
             Err(i) => self.entries.insert(i, (d, w, bit)),
@@ -467,9 +514,8 @@ impl BitFrontier {
 
     /// Clears row `row` at distance `d` if present (tolerant: the row may
     /// already have been popped and forwarded). Returns whether the bit
-    /// was present — the caller moves removed bits into its ghost
-    /// frontier, and an already-forwarded row has no scalar heap entry
-    /// to ghost.
+    /// was present — the caller ghosts removed bits, and an
+    /// already-forwarded row has no scalar heap entry to ghost.
     pub(crate) fn remove(&mut self, d: Weight, row: u32) -> bool {
         let (w, bit) = (row / 64, 1u64 << (row % 64));
         if let Ok(i) = self.entries.binary_search_by_key(&(d, w), |e| (e.0, e.1)) {
@@ -482,32 +528,6 @@ impl BitFrontier {
             }
         }
         false
-    }
-
-    /// Drops every announcement strictly below `(d, row)` in pop order —
-    /// the ghost-frontier replay of the scalar heap's pop-until-fresh
-    /// walk, which consumes exactly the stale entries ahead of the fresh
-    /// minimum.
-    pub(crate) fn drain_below(&mut self, d: Weight, row: u32) {
-        let w = row / 64;
-        // Whole entries with (dist, word) < (d, w) are entirely below.
-        let cut = self.entries.partition_point(|e| (e.0, e.1) < (d, w));
-        self.entries.drain(..cut);
-        // A surviving (d, w) entry may still hold bits below `row`.
-        if let Some(first) = self.entries.first_mut() {
-            if (first.0, first.1) == (d, w) {
-                first.2 &= !((1u64 << (row % 64)) - 1);
-                if first.2 == 0 {
-                    self.entries.remove(0);
-                }
-            }
-        }
-    }
-
-    /// Drops everything — the scalar heap's "no fresh entry found, heap
-    /// fully drained" outcome.
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
     }
 
     /// Pops the minimum announcement in `(distance, source row)` order.
@@ -580,26 +600,44 @@ mod tests {
     }
 
     #[test]
-    fn bit_frontier_drain_below_consumes_strictly_smaller() {
+    fn bit_frontier_tail_append_keeps_pop_order() {
         let mut f = BitFrontier::default();
-        for (d, row) in [(1, 3), (1, 64), (2, 0), (2, 5), (2, 70), (3, 1)] {
+        // Equal to the tail (OR), past it (push), and before it (search).
+        for (d, row) in [(2, 1), (2, 5), (2, 70), (3, 0), (1, 9), (2, 64), (3, 0)] {
             f.insert(d, row);
         }
-        // The scalar pop walk reaching fresh minimum (2, 5): everything
-        // strictly below is consumed, (2, 5) itself and above survive.
-        f.drain_below(2, 5);
+        assert_eq!(f.entries.len(), 4, "(1,0) (2,0) (2,1) (3,0)");
         let mut got = Vec::new();
         while let Some(p) = f.pop_min() {
             got.push(p);
         }
-        assert_eq!(got, vec![(2, 5), (2, 70), (3, 1)]);
-        // Draining below a word-aligned row keeps bit 0 of that word.
-        let mut g = BitFrontier::default();
-        g.insert(4, 64);
-        g.insert(4, 63);
-        g.drain_below(4, 64);
-        assert_eq!(g.pop_min(), Some((4, 64)));
-        assert_eq!(g.pop_min(), None);
+        assert_eq!(got, vec![(1, 9), (2, 1), (2, 5), (2, 64), (2, 70), (3, 0)]);
+    }
+
+    #[test]
+    fn flood_ring_is_capped_at_the_budget() {
+        // Stretches of 400 and 7 000 rounds, far beyond a budget of 25:
+        // no hop that slow can send, so the ring stops at budget + 1.
+        let g = Graph::from_edges(
+            3,
+            mwc_graph::Orientation::Directed,
+            [(0, 1, 400), (1, 2, 7_000), (2, 0, 3)],
+        )
+        .unwrap();
+        let lat: Vec<Weight> = g.edges().iter().map(|e| e.weight).collect();
+        let net: Network<()> = Network::new(&g);
+        let plan = FloodPlan::build(&g, &net, Direction::Forward, Some(&lat));
+        assert_eq!(plan.max_latency(), 6_999);
+        for budget in [0, 1, 25, 399] {
+            let ring: CalendarRing<u32> = plan.calendar(budget);
+            assert!(
+                ring.buckets.len() as u64 <= budget + 1,
+                "budget {budget}: {} buckets",
+                ring.buckets.len()
+            );
+        }
+        // An unbounded flood still gets the plan's full window.
+        assert_eq!(plan.calendar::<u32>(u64::MAX).buckets.len(), 7_000);
     }
 
     #[test]

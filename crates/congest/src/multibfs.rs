@@ -18,13 +18,23 @@
 //! [`crate::flood::flood_kernel`]: the engine-stepped **scalar** reference
 //! and the bit-parallel **bitset** kernel (u64 frontier words, direct
 //! delivery, stretched hops parked in a
-//! [`CalendarRing`](crate::flood::CalendarRing) of arrival-round buckets,
-//! rounds charged via `Network::charge_flood_round`). Both primitives share
-//! one bitset loop, [`ring_kernel`], at every latency; each supplies only
-//! its admit step and its round rule ([`FloodRule`]). The bitset kernel is
+//! [`CalendarRing`](crate::flood::CalendarRing) of arrival-round buckets
+//! sized to the budget, links charged at send time and each round closed
+//! by `Network::charge_flood_round`). Both primitives share one bitset
+//! loop, [`ring_kernel`], at every latency; each supplies only its admit
+//! step and its round rule ([`FloodRule`]). The bitset kernel is
 //! byte-identical to the scalar one in every ledger count, event, and
 //! output — see the [`crate::flood`] module docs for the equivalence
 //! argument.
+//!
+//! The bitset loop's per-word work is kept to array operations: a
+//! frontier insert ORs into or appends past the last entry when it can
+//! (tail-append; announcements almost always land there) and searches
+//! only otherwise; the scalar heap's stale entries survive as one word
+//! per node, the largest of them (the *ghost*), which is all the re-pend
+//! test can observe; the acting list and the delivery buffer are reused
+//! across rounds; and [`source_detection`] hands its flat node-major
+//! distance and predecessor tables to [`Detection`] as they are.
 
 use crate::distmat::{DistMatrix, INF};
 use crate::engine::{Network, RoundOutput};
@@ -36,7 +46,7 @@ use crate::ledger::Ledger;
 use mwc_graph::seq::Direction;
 use mwc_graph::{Graph, NodeId, Weight};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Parameters of a multi-source search.
 #[derive(Clone, Copy, Debug)]
@@ -228,20 +238,48 @@ pub type DetectionLists = Vec<Vec<(Weight, NodeId)>>;
 
 /// Output of [`source_detection`]: the per-node top-`σ` lists plus
 /// predecessor bookkeeping for witness-path reconstruction.
+///
+/// The best-known `(distance, pred)` of every (node, source) pair is kept
+/// as the flood left it: two flat node-major tables indexed by
+/// `node * sources + row`, where `row` is the source's rank in id order.
+/// Every accessor is an array read.
 #[derive(Clone, Debug)]
 pub struct Detection {
     /// Per node, the detected `(distance, source)` pairs (≤ `σ`, sorted).
     pub lists: DetectionLists,
-    /// Per node, every source ever admitted with its best `(dist, pred)`
-    /// (the neighbor the announcement arrived from).
-    best: Vec<HashMap<NodeId, (Weight, NodeId)>>,
+    /// `row_of[s]`: the table row of source `s`, `NO_ROW` for a node
+    /// that is not a source.
+    row_of: Vec<u32>,
+    /// Number of sources: the row count of `dist` and `pred`.
+    rows: usize,
+    /// Best admitted distance per (node, row); [`INF`] when no
+    /// announcement for the row ever reached the node.
+    dist: Vec<Weight>,
+    /// The neighbor the best announcement arrived from (the node itself
+    /// for a source's self-seed), parallel to `dist`.
+    pred: Vec<u32>,
 }
 
+/// The `row_of` sentinel of [`Detection`] for a node that is not a source.
+const NO_ROW: u32 = u32::MAX;
+
 impl Detection {
+    /// Index of the (node, source) pair in `dist`/`pred`, if `src` is a
+    /// source, both ids are in range, and an announcement for `src` was
+    /// ever admitted at `node`.
+    fn cell(&self, node: NodeId, src: NodeId) -> Option<usize> {
+        let row = *self.row_of.get(src)?;
+        if row == NO_ROW || node >= self.row_of.len() {
+            return None;
+        }
+        let i = node * self.rows + row as usize;
+        (self.dist[i] != INF).then_some(i)
+    }
+
     /// Best-known distance from `src` to `node`, if any announcement for
     /// `src` ever reached `node` (superset of the truncated lists).
     pub fn dist(&self, node: NodeId, src: NodeId) -> Option<Weight> {
-        self.best[node].get(&src).map(|&(d, _)| d)
+        self.cell(node, src).map(|i| self.dist[i])
     }
 
     /// The first hop of [`Detection::path_to_source`] without walking or
@@ -253,7 +291,7 @@ impl Detection {
     /// this equals `path_to_source(node, src)?[1]` whenever that path has
     /// a second vertex.
     pub fn pred(&self, node: NodeId, src: NodeId) -> Option<NodeId> {
-        self.best[node].get(&src).map(|&(_, p)| p)
+        self.cell(node, src).map(|i| self.pred[i] as NodeId)
     }
 
     /// The discovered path `node → … → src` following predecessor
@@ -262,10 +300,9 @@ impl Detection {
         let mut path = vec![node];
         let mut cur = node;
         while cur != src {
-            let &(_, pred) = self.best[cur].get(&src)?;
-            cur = pred;
+            cur = self.pred[self.cell(cur, src)?] as NodeId;
             path.push(cur);
-            if path.len() > self.best.len() {
+            if path.len() > self.row_of.len() {
                 return None;
             }
         }
@@ -274,14 +311,16 @@ impl Detection {
 }
 
 /// Per-node detection state shared by both kernels: current best
-/// `(distance, pred)` per source row and the top-`σ` set the truncation
-/// discipline maintains. Stored flat — a `(dist, pred)` matrix with an
-/// [`INF`] absent-sentinel and per-node sorted vectors of at most `σ`
-/// entries — so the admit fast path is an array index plus a short
-/// binary search instead of hash-map and B-tree traffic.
+/// distance and predecessor per source row and the top-`σ` set the
+/// truncation discipline maintains. Stored flat — split node-major
+/// `dist`/`pred` tables with an [`INF`] absent-sentinel (12 bytes a cell,
+/// handed to [`Detection`] as they are) and per-node sorted vectors of at
+/// most `σ` entries — so the admit fast path is an array index plus a
+/// short binary search instead of hash-map and B-tree traffic.
 struct DetectState {
     rows: usize,
-    best: Vec<(Weight, NodeId)>,
+    dist: Vec<Weight>,
+    pred: Vec<u32>,
     top: Vec<Vec<(Weight, u32)>>,
     sigma: usize,
 }
@@ -290,7 +329,8 @@ impl DetectState {
     fn new(n: usize, rows: usize, sigma: usize) -> DetectState {
         DetectState {
             rows,
-            best: vec![(INF, NodeId::MAX); n * rows],
+            dist: vec![INF; n * rows],
+            pred: vec![u32::MAX; n * rows],
             top: (0..n).map(|_| Vec::with_capacity(sigma + 1)).collect(),
             sigma,
         }
@@ -299,7 +339,7 @@ impl DetectState {
     /// Best-known distance of `row`'s source at `v` ([`INF`] when no
     /// announcement was ever admitted).
     fn best_dist(&self, v: NodeId, row: u32) -> Weight {
-        self.best[v * self.rows + row as usize].0
+        self.dist[v * self.rows + row as usize]
     }
 
     /// Whether `entry` is currently in `v`'s top-`σ` set.
@@ -374,19 +414,16 @@ pub fn source_detection(
                 .collect()
         })
         .collect();
-    let best_by_id: Vec<HashMap<NodeId, (Weight, NodeId)>> = (0..n)
-        .map(|v| {
-            (0..srcs.len())
-                .filter_map(|row| {
-                    let dp = state.best[v * srcs.len() + row];
-                    (dp.0 != INF).then_some((srcs[row], dp))
-                })
-                .collect()
-        })
-        .collect();
+    let mut row_of = vec![NO_ROW; n];
+    for (row, &s) in srcs.iter().enumerate() {
+        row_of[s] = row as u32;
+    }
     Detection {
         lists,
-        best: best_by_id,
+        row_of,
+        rows: srcs.len(),
+        dist: state.dist,
+        pred: state.pred,
     }
 }
 
@@ -547,14 +584,15 @@ impl FloodRule for DetectState {
         pred: Option<NodeId>,
         mut retire: impl FnMut(Weight, u32),
     ) -> bool {
-        let slot = &mut self.best[v * self.rows + row as usize];
-        let old = slot.0;
+        let i = v * self.rows + row as usize;
+        let old = self.dist[i];
         // Admitted distances never reach `INF` (announcements assert
         // against saturation), so the absent sentinel can only lose here.
         if old <= d {
             return false;
         }
-        *slot = (d, pred.unwrap_or(v));
+        self.dist[i] = d;
+        self.pred[i] = pred.unwrap_or(v) as u32;
         let top = &mut self.top[v];
         if old != INF {
             // The superseded entry may already have been truncated away.
@@ -578,8 +616,9 @@ impl FloodRule for DetectState {
 /// The bitset flood loop shared by both primitives, at every latency:
 /// per-node [`BitFrontier`] outboxes (64 source rows per word, maintained
 /// eagerly so every pop is fresh), a [`CalendarRing`] standing in for the
-/// scalar engine's transit heap, and each round's traffic charged in one
-/// `Network::charge_flood_round` pass. Executes the exact scalar
+/// scalar engine's transit heap, each send's link charged as it is made
+/// (`Network::charge_flood_link`) and each round closed in one
+/// `Network::charge_flood_round` call. Executes the exact scalar
 /// schedule — same pops, same sends, same delivery order, same
 /// predecessor tie-breaks — without the per-message queue machinery.
 ///
@@ -589,14 +628,16 @@ impl FloodRule for DetectState {
 /// calendar expiries — exactly the engine's order in a round (same-round
 /// completions in send order, then transit pops in `(arrival,
 /// send-sequence)` order, which the ring reproduces). A unit-latency
-/// flood never parks anything.
+/// flood never parks anything, and the ring is sized for the slowest hop
+/// the budget lets send ([`FloodPlan::calendar`]).
 ///
-/// Superseded announcements move into a per-node *ghost* frontier rather
-/// than vanishing: the scalar heap keeps stale entries until a pop walks
-/// past them, and "heap nonempty" is its re-pend test — so ghost
-/// occupancy must feed the bitset re-pend test too, or nodes would enter
-/// the pending list at different positions and the send order (observed
-/// by the event log) would drift.
+/// Superseded announcements leave a per-node *ghost* behind rather than
+/// vanishing: the scalar heap keeps stale entries until a pop walks past
+/// them, and "heap nonempty" is its re-pend test — so the ghost must feed
+/// the bitset re-pend test too, or nodes would enter the pending list at
+/// different positions and the send order (observed by the event log)
+/// would drift. The [`crate::flood`] module docs show why one word, the
+/// largest stale entry, is all the test needs.
 ///
 /// Round control mirrors the scalar loops branch for branch: a round
 /// with sends (or, under [`FloodRule::CHARGE_FILTERED_POPS`], with pops)
@@ -614,24 +655,24 @@ fn ring_kernel<R: FloodRule>(
     rule: &mut R,
 ) {
     let mut q = Frontiers::new(n);
-    let mut ring: CalendarRing<RingMsg> = CalendarRing::new(plan.max_latency());
+    let mut ring: CalendarRing<RingMsg> = plan.calendar(max_dist);
     for (row, &s) in sources.iter().enumerate() {
         q.offer(rule, s, row as u32, 0, None);
     }
 
-    // This round's traffic: every charged link in send order, and the
-    // messages *delivered* this round — zero-latency sends first (send
-    // order), then calendar expiries.
-    let mut links: Vec<u32> = Vec::new();
+    // The nodes acting this round, and the messages *delivered* this
+    // round — zero-latency sends first (send order), then calendar
+    // expiries. Both buffers live across rounds.
+    let mut acting: Vec<NodeId> = Vec::new();
     let mut deliv: Vec<RingMsg> = Vec::new();
     loop {
-        let acting = q.take_pending();
-        links.clear();
+        q.take_pending(&mut acting);
         deliv.clear();
         // If anything is sent this iteration, it is charged at this round.
         let send_round = net.round() + 1;
         let mut popped = false;
-        for v in acting {
+        let mut sent = 0u64;
+        for &v in &acting {
             let Some((d, row)) = q.pop(v) else {
                 continue;
             };
@@ -641,7 +682,8 @@ fn ring_kernel<R: FloodRule>(
                 if cand > max_dist {
                     continue;
                 }
-                links.push(hop.link);
+                net.charge_flood_link(hop.link);
+                sent += 1;
                 let msg = (hop.link, hop.to, row, cand, v as u32);
                 if hop.latency == 0 {
                     deliv.push(msg);
@@ -652,7 +694,7 @@ fn ring_kernel<R: FloodRule>(
             q.repend_if_queued(v);
         }
 
-        let round = if !links.is_empty() || (R::CHARGE_FILTERED_POPS && popped) {
+        let round = if sent > 0 || (R::CHARGE_FILTERED_POPS && popped) {
             send_round
         } else if q.any_pending() {
             // Entirely-filtered pops: no traffic, no round charged.
@@ -665,7 +707,7 @@ fn ring_kernel<R: FloodRule>(
             break;
         };
         ring.drain_round_into(round, &mut deliv);
-        net.charge_flood_round(round, &links, deliv.iter().map(|m| m.0));
+        net.charge_flood_round(round, sent, deliv.iter().map(|m| m.0));
         for &(_, to, row, cand, from) in &deliv {
             q.offer(rule, to as usize, row, cand, Some(from as usize));
         }
@@ -673,12 +715,16 @@ fn ring_kernel<R: FloodRule>(
 }
 
 /// The bitset kernel's per-node queues: fresh announcements (`outbox`),
-/// superseded ones the scalar heap would still hold (`ghost`), and the
-/// nodes to act next round, in the order they became pending. The kernel
-/// reaches them only through the methods below.
+/// the largest superseded one the scalar heap would still hold (`ghost`),
+/// and the nodes to act next round, in the order they became pending.
+/// The kernel reaches them only through the methods below.
 struct Frontiers {
     outbox: Vec<BitFrontier>,
-    ghost: Vec<BitFrontier>,
+    /// Per node, the maximum `(distance, row)` of the stale entries the
+    /// scalar heap would still hold, `None` when it holds none. Only
+    /// whether such an entry remains is observable; the max answers that
+    /// after every pop (see the [`crate::flood`] module docs).
+    ghost: Vec<Option<(Weight, u32)>>,
     pending: Vec<NodeId>,
     pending_flag: Vec<bool>,
 }
@@ -687,7 +733,7 @@ impl Frontiers {
     fn new(n: usize) -> Frontiers {
         Frontiers {
             outbox: vec![BitFrontier::default(); n],
-            ghost: vec![BitFrontier::default(); n],
+            ghost: vec![None; n],
             pending: Vec::new(),
             pending_flag: vec![false; n],
         }
@@ -701,10 +747,12 @@ impl Frontiers {
         }
     }
 
-    /// Takes the nodes that act this round, in the order they became
-    /// pending.
-    fn take_pending(&mut self) -> Vec<NodeId> {
-        std::mem::take(&mut self.pending)
+    /// Moves the nodes that act this round, in the order they became
+    /// pending, into `acting` (cleared first); the pending list carries on
+    /// in `acting`'s old buffer, so no round allocates.
+    fn take_pending(&mut self, acting: &mut Vec<NodeId>) {
+        acting.clear();
+        std::mem::swap(&mut self.pending, acting);
     }
 
     fn any_pending(&self) -> bool {
@@ -714,33 +762,48 @@ impl Frontiers {
     /// Pops the smallest announcement of a node taken from the pending
     /// list. Eager maintenance means no stale entries, so this is the
     /// smallest fresh one; the scalar pop walk would have consumed the
-    /// stale (ghost) entries ahead of it — or the whole heap when nothing
-    /// fresh remains.
+    /// stale entries below it — so the ghost survives only if it is above
+    /// the pop — or the whole heap when nothing fresh remains.
     fn pop(&mut self, v: NodeId) -> Option<(Weight, u32)> {
         self.pending_flag[v] = false;
-        let Some((d, row)) = self.outbox[v].pop_min() else {
-            self.ghost[v].clear();
-            return None;
-        };
-        self.ghost[v].drain_below(d, row);
-        Some((d, row))
+        let popped = self.outbox[v].pop_min();
+        let ghost = &mut self.ghost[v];
+        if ghost.is_some_and(|g| popped.is_none_or(|p| g < p)) {
+            *ghost = None;
+        }
+        popped
+    }
+
+    /// Whether the scalar heap of `v` would be nonempty: fresh or stale
+    /// entries remain.
+    fn queued(&self, v: NodeId) -> bool {
+        !self.outbox[v].is_empty() || self.ghost[v].is_some()
     }
 
     /// Re-pends `v` while it still holds announcements, stale ones
     /// included: "heap nonempty" is the scalar re-pend test.
     fn repend_if_queued(&mut self, v: NodeId) {
-        if !self.outbox[v].is_empty() || !self.ghost[v].is_empty() {
+        if self.queued(v) {
             self.pend(v);
         }
     }
 
+    /// Retires `(d, row)` at `v`: a fresh announcement leaves the outbox
+    /// and becomes stale, raising the ghost; a row already forwarded has
+    /// no scalar heap entry left to go stale.
+    #[inline(always)]
+    fn retire(&mut self, v: NodeId, d: Weight, row: u32) {
+        if self.outbox[v].remove(d, row) {
+            let ghost = &mut self.ghost[v];
+            *ghost = (*ghost).max(Some((d, row)));
+        }
+    }
+
     /// Offers `(row, d)` at `v` through `rule`; a fresh announcement joins
-    /// the outbox and pends `v`. Displaced announcements become ghosts
-    /// (the scalar heap would keep them as stale entries); rows already
-    /// forwarded have no bit to move. Forced inline, with both
-    /// [`FloodRule::admit`] impls: this is the per-delivery hot path, and
-    /// an outlined call here cost the unit-latency BFS about 30% (2-vCPU
-    /// x86-64 host, n = 1024).
+    /// the outbox and pends `v`, and every announcement it displaces is
+    /// retired. Forced inline, with both [`FloodRule::admit`] impls: this
+    /// is the per-delivery hot path, and an outlined call here cost the
+    /// unit-latency BFS about 30% (2-vCPU x86-64 host, n = 1024).
     #[inline(always)]
     fn offer<R: FloodRule>(
         &mut self,
@@ -750,13 +813,7 @@ impl Frontiers {
         d: Weight,
         pred: Option<NodeId>,
     ) {
-        let (ob, gh) = (&mut self.outbox[v], &mut self.ghost[v]);
-        let retire = |old, r| {
-            if ob.remove(old, r) {
-                gh.insert(old, r);
-            }
-        };
-        if rule.admit(v, row, d, pred, retire) {
+        if rule.admit(v, row, d, pred, |old, r| self.retire(v, old, r)) {
             self.outbox[v].insert(d, row);
             self.pend(v);
         }
@@ -1106,6 +1163,154 @@ mod tests {
             results[0], results[1],
             "kernels disagree on stretched detection"
         );
+    }
+
+    #[test]
+    fn ghost_max_matches_sorted_set_reference() {
+        // Random admissions, retirements, and pops on one node, mirrored
+        // on the scalar heap's model: a sorted set of fresh entries and a
+        // sorted set of stale ones. A pop of the fresh minimum consumes
+        // the stale entries below it, or all of them when nothing fresh
+        // remains. The one-word ghost must equal the stale set's max, and
+        // the re-pend test must match "heap nonempty", after every step.
+        use std::collections::BTreeSet;
+        let mut rng = mwc_rng::Rng::seed_from_u64(0x6057);
+        for _case in 0..64 {
+            let rows = 1 + rng.below(150) as u32;
+            let mut q = Frontiers::new(1);
+            let (mut fresh, mut stale) = (BTreeSet::new(), BTreeSet::new());
+            let mut best = vec![INF; rows as usize];
+            for _step in 0..200 {
+                match rng.below(4) {
+                    // Admission at a better distance: the old fresh entry
+                    // (if still queued) goes stale.
+                    0 | 1 => {
+                        let row = rng.below(rows as u64) as u32;
+                        let old = best[row as usize];
+                        if old == 0 {
+                            continue;
+                        }
+                        let d = rng.below(old.min(40));
+                        if fresh.remove(&(old, row)) {
+                            stale.insert((old, row));
+                        }
+                        q.retire(0, old, row);
+                        best[row as usize] = d;
+                        fresh.insert((d, row));
+                        q.outbox[0].insert(d, row);
+                    }
+                    // Truncation eviction: a fresh entry goes stale and
+                    // its row's best stays (never fresh again).
+                    2 => {
+                        let Some(&(d, row)) = fresh.iter().nth(rng.below(4) as usize) else {
+                            continue;
+                        };
+                        fresh.remove(&(d, row));
+                        stale.insert((d, row));
+                        q.retire(0, d, row);
+                        best[row as usize] = 0;
+                    }
+                    _ => {
+                        let want = fresh.pop_first();
+                        match want {
+                            Some(p) => stale.retain(|&g| g > p),
+                            None => stale.clear(),
+                        }
+                        assert_eq!(q.pop(0), want);
+                    }
+                }
+                assert_eq!(q.ghost[0], stale.last().copied());
+                assert_eq!(q.queued(0), !fresh.is_empty() || !stale.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn detection_accessors_reject_non_sources_and_unreached_pairs() {
+        // Two components: {0, 1, 2} holds source 0; {3, 4} holds source
+        // 4; node 5 is isolated from both.
+        let g = Graph::from_edges(
+            6,
+            Orientation::Undirected,
+            [(0, 1, 1), (1, 2, 1), (3, 4, 1), (4, 5, 1)],
+        )
+        .unwrap();
+        let mut ledger = Ledger::new();
+        let det = source_detection(
+            &g,
+            &[4, 0],
+            1,
+            2,
+            Direction::Forward,
+            None,
+            "acc",
+            &mut ledger,
+        );
+        assert_eq!(det.dist(1, 0), Some(1));
+        assert_eq!(det.pred(1, 0), Some(0));
+        assert_eq!(det.dist(0, 0), Some(0));
+        assert_eq!(det.pred(0, 0), Some(0), "a self-seed is its own pred");
+        assert_eq!(det.path_to_source(3, 4), Some(vec![3, 4]));
+        // Non-source ids.
+        assert_eq!(det.dist(0, 1), None);
+        assert_eq!(det.pred(2, 3), None);
+        assert_eq!(det.path_to_source(2, 1), None);
+        // Out-of-range ids, as node or as source.
+        assert_eq!(det.dist(0, 6), None);
+        assert_eq!(det.pred(0, usize::MAX), None);
+        assert_eq!(det.dist(6, 0), None);
+        assert_eq!(det.pred(usize::MAX, 4), None);
+        assert_eq!(det.path_to_source(9, 0), None);
+        // Never-admitted pairs: another component, or past the budget.
+        assert_eq!(det.dist(3, 0), None);
+        assert_eq!(det.pred(0, 4), None);
+        assert_eq!(det.dist(2, 0), None, "2 is two hops out, budget 1");
+        assert_eq!(det.path_to_source(2, 0), None);
+    }
+
+    #[test]
+    fn detection_paths_are_real_on_random_unit_graphs() {
+        // Every admitted (node, source) pair — truncated away or not —
+        // has a predecessor path of real edges ending at the source, no
+        // longer than its admitted distance (a predecessor's best only
+        // improves after it announced).
+        for seed in 0..12u64 {
+            let n = 20 + (seed as usize * 7) % 30;
+            let g = connected_gnm(n, n, Orientation::Undirected, WeightRange::unit(), seed);
+            let sources: Vec<NodeId> = (0..n).filter(|v| v % 3 != 1).collect();
+            let mut ledger = Ledger::new();
+            let det = source_detection(
+                &g,
+                &sources,
+                6,
+                1 + seed as usize % 4,
+                Direction::Forward,
+                None,
+                "paths",
+                &mut ledger,
+            );
+            let mut admitted = 0;
+            for v in 0..n {
+                for &s in &sources {
+                    let Some(d) = det.dist(v, s) else {
+                        assert_eq!(det.path_to_source(v, s), None);
+                        continue;
+                    };
+                    admitted += 1;
+                    let p = det.path_to_source(v, s).expect("admitted ⇒ path");
+                    assert_eq!((p[0], *p.last().unwrap()), (v, s));
+                    assert!(p.len() as Weight - 1 <= d, "seed {seed}: {v} → {s}");
+                    assert_eq!(det.pred(v, s), Some(*p.get(1).unwrap_or(&v)));
+                    for w in p.windows(2) {
+                        assert!(g.has_edge(w[0], w[1]), "seed {seed}: {w:?}");
+                    }
+                }
+            }
+            assert!(
+                admitted > n,
+                "seed {seed}: the flood must reach past the sources"
+            );
+        }
     }
 
     #[test]

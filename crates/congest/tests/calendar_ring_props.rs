@@ -5,8 +5,9 @@
 //! promotion for latencies beyond the ring's window, and quiet-gap
 //! fast-forwards (mid-schedule and in the tail, including gaps longer
 //! than the window); and random stretched floods must leave both kernels
-//! — including the ghost-frontier stale-entry replay — in byte-identical
-//! agreement.
+//! — including the one-word ghost that replays the scalar heap's stale
+//! entries in the re-pend test — in byte-identical agreement, send order
+//! (the event log) included.
 //!
 //! Runs on `mwc_rng::proptest_lite`; new failures persist their case
 //! seed under `proplite-regressions/`.
@@ -15,8 +16,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use mwc_congest::{
-    multi_source_bfs, set_flood_kernel, source_detection, CalendarRing, FloodKernel, Ledger,
-    MultiBfsSpec,
+    multi_source_bfs, set_flood_kernel, source_detection, CalendarRing, EventCapture, FloodKernel,
+    Ledger, MultiBfsSpec,
 };
 use mwc_graph::generators::{connected_gnm, WeightRange};
 use mwc_graph::seq::Direction;
@@ -120,14 +121,26 @@ prop_tests! {
     }
 
     /// Random stretched floods agree across kernels: the calendar-ring
-    /// bitset kernel (ghost drains included) must reproduce the scalar
-    /// reference's distances, predecessors, detection lists, and every
-    /// ledger total on arbitrary connected graphs with zero-weight edges
-    /// mixed in.
-    fn stretched_kernels_agree(seed in 0u64..5000, n in 4usize..24, extra in 0usize..48, wmax in 1u64..9) {
+    /// bitset kernel (ghost re-pends included) must reproduce the scalar
+    /// reference's distances, predecessors, detection lists and per-pair
+    /// detection tables, every ledger total, and the event log line for
+    /// line — the event log is what sees send order — on arbitrary
+    /// connected graphs with zero-weight edges mixed in. σ runs from 1 to
+    /// 4, so truncation evictions leave stale entries behind, and every
+    /// first, second or third node is a source: with many rows a node
+    /// retires a far announcement before a near one, which is what tells
+    /// the ghost's max apart from the last retired entry.
+    fn stretched_kernels_agree(
+        seed in 0u64..5000,
+        n in 4usize..24,
+        extra in 0usize..48,
+        wmax in 1u64..9,
+        sigma in 1usize..5,
+        step in 1usize..4,
+    ) {
         let g = connected_gnm(n, extra, Orientation::Directed, WeightRange::uniform(0, wmax), seed);
         let lat: Vec<Weight> = g.edges().iter().map(|e| e.weight).collect();
-        let sources: Vec<NodeId> = (0..n).step_by(3).collect();
+        let sources: Vec<NodeId> = (0..n).step_by(step).collect();
         let spec = MultiBfsSpec {
             direction: Direction::Forward,
             latency: Some(&lat),
@@ -136,25 +149,32 @@ prop_tests! {
         let mut results = Vec::new();
         for kernel in [FloodKernel::Scalar, FloodKernel::Bitset] {
             set_flood_kernel(kernel);
+            let cap = EventCapture::memory();
             let mut ledger = Ledger::new();
             let mat = multi_source_bfs(&g, &sources, &spec, "p", &mut ledger);
             let det = source_detection(
                 &g,
                 &sources,
                 3 * wmax,
-                3,
+                sigma,
                 Direction::Forward,
                 Some(&lat),
                 "p",
                 &mut ledger,
             );
+            let pairs: Vec<_> = (0..n)
+                .flat_map(|v| sources.iter().map(move |&s| (v, s)))
+                .map(|(v, s)| (det.dist(v, s), det.pred(v, s)))
+                .collect();
             results.push((
                 mat.digest(),
                 det.lists,
+                pairs,
                 ledger.rounds,
                 ledger.words,
                 ledger.messages,
                 ledger.hot_links(8),
+                cap.finish(),
             ));
         }
         set_flood_kernel(FloodKernel::Bitset);
