@@ -66,17 +66,8 @@ impl<M> Default for RoundOutput<M> {
     }
 }
 
-/// Number of buckets in the per-round delivered-word histogram: bucket `i`
-/// counts rounds that transferred `w` words with `2^i ≤ w < 2^(i+1)`
-/// (bucket 0 is `w = 1`; the last bucket absorbs everything above).
-pub const HIST_BUCKETS: usize = 16;
-
-/// The histogram bucket for a round that transferred `words` words (≥ 1).
-pub fn hist_bucket(words: u64) -> usize {
-    (63 - u64::leading_zeros(words.max(1)) as usize).min(HIST_BUCKETS - 1)
-}
-
-/// Aggregate traffic statistics of a [`Network`].
+/// Aggregate traffic statistics of a [`Network`]: totals, per-link words,
+/// and the congestion scalars [`crate::Ledger`] folds across phases.
 ///
 /// `PartialEq` is derived so differential tests can assert that
 /// [`Network::step`]'s gap jumps and bulk skips produce *bit-identical*
@@ -90,11 +81,6 @@ pub struct NetStats {
     /// Words transferred per directed link (parallel to the engine's link
     /// table); used by the lower-bound harness for cut accounting.
     pub per_link_words: Vec<u64>,
-    /// High-water mark of each directed link's send-queue depth (parallel
-    /// to `per_link_words`). Updated at send time on the coordinator
-    /// thread, so it is deterministic for any shard count; the canonical
-    /// shard profile ([`crate::ShardProfile`]) folds it per shard.
-    pub per_link_queue_high: Vec<u64>,
     /// When history is enabled ([`Network::enable_history`]): `(round,
     /// words transferred that round)` for every non-quiet round — the
     /// congestion timeline used by the scheduling ablations.
@@ -113,9 +99,6 @@ pub struct NetStats {
     /// High-water mark of any single link's send-queue depth (messages
     /// queued behind one FIFO link, the engine's backpressure signal).
     pub queue_high_water: u64,
-    /// Histogram of per-round delivered words over power-of-two buckets
-    /// (see [`hist_bucket`]); always on — one increment per active round.
-    pub round_histogram: [u64; HIST_BUCKETS],
 }
 
 /// A queued message. Endpoints are *not* stored: queues are per-link, so
@@ -257,7 +240,6 @@ impl<M> Network<M> {
             wakeups: BinaryHeap::new(),
             stats: NetStats {
                 per_link_words: vec![0; m],
-                per_link_queue_high: vec![0; m],
                 ..NetStats::default()
             },
             history: false,
@@ -351,13 +333,6 @@ impl<M> Network<M> {
         &self.link_ends
     }
 
-    /// The `k` most-loaded directed links as `((from, to), words)`,
-    /// heaviest first; ties break toward the lower link index so the
-    /// report is deterministic.
-    pub fn hot_links(&self, k: usize) -> Vec<((NodeId, NodeId), u64)> {
-        crate::profile::top_links(&self.link_ends, &self.stats.per_link_words, k)
-    }
-
     /// Sum of words that crossed between the two sides of a node
     /// partition; `side[v]` is `v`'s side. Used by the two-party
     /// communication harness.
@@ -443,14 +418,11 @@ impl<M> Network<M> {
             words_left: words,
             latency,
         });
+        // A queue's depth peaks immediately after a push, so send time is
+        // the only point the high-water can move.
         let depth = self.queues[l].len() as u64;
         if depth > self.stats.queue_high_water {
             self.stats.queue_high_water = depth;
-        }
-        // A queue's depth peaks immediately after a push, so send time is
-        // the only point the per-link high-water can move.
-        if depth > self.stats.per_link_queue_high[l] {
-            self.stats.per_link_queue_high[l] = depth;
         }
         if !self.active_flag[l] {
             self.active_flag[l] = true;
@@ -539,7 +511,7 @@ impl<M> Network<M> {
     /// - inside **multi-word runs**, when no delivery, transit expiry or
     ///   wakeup can fire before round `r + k`, every active link advances
     ///   `k - 1` words in one pass, with [`NetStats`] (words, per-link
-    ///   words, histogram buckets, peak round, `words_per_round` history)
+    ///   words, active rounds, peak round, `words_per_round` history)
     ///   updated in closed form. During those rounds the active-link set
     ///   cannot change (no head finishes, by the choice of `k`), every
     ///   round transfers exactly `active.len()` words, and nothing is
@@ -575,22 +547,9 @@ impl<M> Network<M> {
             }
             if k > 1 {
                 // No send happens while skipping, and `send_on_link`
-                // maintains both queue high-waters, so neither can move.
+                // maintains the queue high-water, so it cannot move.
                 let skipped = k - 1;
-                let per_round = self.active.len() as u64;
-                self.stats.active_rounds += skipped;
-                self.stats.round_histogram[hist_bucket(per_round)] += skipped;
-                if per_round > self.stats.max_words_in_round {
-                    self.stats.max_words_in_round = per_round;
-                    // First skipped round is the first to hit the new max.
-                    self.stats.peak_round = self.round + 1;
-                }
-                if self.history {
-                    for i in 1..=skipped {
-                        self.stats.words_per_round.push((self.round + i, per_round));
-                    }
-                }
-                self.stats.words += skipped * per_round;
+                self.charge_rounds(self.round + 1, skipped, self.active.len() as u64);
                 let engaged = self
                     .sharding
                     .as_ref()
@@ -629,18 +588,7 @@ impl<M> Network<M> {
         self.round += 1;
 
         // Transfer one word on every active link.
-        let transferred = self.active.len() as u64;
-        if transferred > 0 {
-            self.stats.active_rounds += 1;
-            self.stats.round_histogram[hist_bucket(transferred)] += 1;
-            if transferred > self.stats.max_words_in_round {
-                self.stats.max_words_in_round = transferred;
-                self.stats.peak_round = self.round;
-            }
-            if self.history {
-                self.stats.words_per_round.push((self.round, transferred));
-            }
-        }
+        self.charge_rounds(self.round, 1, self.active.len() as u64);
         let mut still_active = std::mem::take(&mut self.scratch_active);
         still_active.clear();
         let active = std::mem::take(&mut self.active);
@@ -657,7 +605,6 @@ impl<M> Network<M> {
             // can borrow disjoint parts of the engine.)
             let mut sh = self.sharding.take().expect("engaged sharding present");
             sh.transfer_round(&active, &mut self.queues, &mut self.stats.per_link_words);
-            self.stats.words += transferred;
             for c in sh.merged.drain(..) {
                 let (from, to) = self.link_ends[c.link as usize];
                 self.finish_message(from, to, c.payload, c.words, c.latency, out);
@@ -675,7 +622,6 @@ impl<M> Network<M> {
                 let q = &mut self.queues[l];
                 let head = q.front_mut().expect("active links have queued traffic");
                 head.words_left -= 1;
-                self.stats.words += 1;
                 self.stats.per_link_words[l] += 1;
                 if head.words_left == 0 {
                     let msg = q.pop_front().expect("head exists");
@@ -719,21 +665,40 @@ impl<M> Network<M> {
         }
     }
 
+    /// Charges `count` consecutive rounds from round `first` on, each
+    /// transferring `per_round` words: words, active rounds, the
+    /// first-reach peak (strict `>`: the earliest round wins ties) and the
+    /// optional history. Every advancement path charges its transfers
+    /// here and nowhere else. A round that moves no word is quiet.
+    fn charge_rounds(&mut self, first: u64, count: u64, per_round: u64) {
+        if per_round == 0 {
+            return;
+        }
+        self.stats.words += count * per_round;
+        self.stats.active_rounds += count;
+        if per_round > self.stats.max_words_in_round {
+            self.stats.max_words_in_round = per_round;
+            self.stats.peak_round = first;
+        }
+        if self.history {
+            self.stats
+                .words_per_round
+                .extend((first..first + count).map(|r| (r, per_round)));
+        }
+    }
+
     /// Charges one bitset-flood send over link `l` at send time: the
-    /// link's transferred word and its send-queue high-water at depth 1 —
-    /// the per-link half of what [`Network::send_on_link`] plus the
-    /// [`Network::step`] that moves the word would record. In the flood
-    /// primitives each directed link has a single sender, and a node
-    /// forwards at most one announcement per round, so a link carries at
-    /// most one word per round and its queue never holds more than one.
-    /// The round itself is closed by [`Network::charge_flood_round`],
-    /// which every round with a send reaches.
+    /// link's transferred word — the per-link half of what
+    /// [`Network::send_on_link`] plus the [`Network::step`] that moves
+    /// the word would record. In the flood primitives each directed link
+    /// has a single sender, and a node forwards at most one announcement
+    /// per round, so a link carries at most one word per round and its
+    /// queue never holds more than one. The round itself is closed by
+    /// [`Network::charge_flood_round`], which every round with a send
+    /// reaches.
     #[inline]
     pub(crate) fn charge_flood_link(&mut self, l: u32) {
-        let l = l as usize;
-        self.stats.per_link_words[l] += 1;
-        let high = &mut self.stats.per_link_queue_high[l];
-        *high = (*high).max(1);
+        self.stats.per_link_words[l as usize] += 1;
     }
 
     /// Charges round `round` of a bitset flood without touching the queue
@@ -750,9 +715,9 @@ impl<M> Network<M> {
     /// Together with the per-send link charges, reproduces, stat for stat
     /// and event for event, what [`Network::send_on_link`] + one
     /// [`Network::step`] per charged round would record for that traffic
-    /// pattern: the round's transfer stats (words, the global queue
-    /// high-water at depth 1, the active-round histogram, first-reach peak
-    /// tracking, the optional per-round history) are charged only when
+    /// pattern: the round's transfer stats (words, the queue high-water
+    /// at depth 1, active rounds, first-reach peak tracking, the optional
+    /// per-round history) are charged only when
     /// `transferred > 0` — a pure-arrival round is a quiet round that
     /// moves no words, matching an engine step whose active set is empty —
     /// while the message count and the message events follow `delivered`.
@@ -772,20 +737,9 @@ impl<M> Network<M> {
     ) {
         debug_assert!(round > self.round, "flood rounds advance monotonically");
         self.round = round;
-        if transferred > 0 {
-            self.stats.active_rounds += 1;
-            self.stats.round_histogram[hist_bucket(transferred)] += 1;
-            if transferred > self.stats.max_words_in_round {
-                self.stats.max_words_in_round = transferred;
-                self.stats.peak_round = self.round;
-            }
-            if self.history {
-                self.stats.words_per_round.push((self.round, transferred));
-            }
-            self.stats.words += transferred;
-            if self.stats.queue_high_water < 1 {
-                self.stats.queue_high_water = 1;
-            }
+        self.charge_rounds(round, 1, transferred);
+        if transferred > 0 && self.stats.queue_high_water < 1 {
+            self.stats.queue_high_water = 1;
         }
         self.stats.messages += delivered.len() as u64;
         if let Some(net) = self.events_net {
@@ -810,12 +764,11 @@ impl<M> Network<M> {
     /// `children[]` order) — exactly the order the engine-stepped loop's
     /// active list settles into, so the event log comes out in the same
     /// order. Reproduces what per-message [`Network::send`] +
-    /// [`Network::step`] would record, stat for stat: depth-1
-    /// queues peak at `m` (the root enqueues everything up front), deeper
-    /// queues at 1 (pop and re-push in the same round), every per-round
-    /// transfer count, the first-reach peak round, the optional history,
-    /// and one message event per delivery. A no-op when `m == 0` or
-    /// `links` is empty, matching an engine run with nothing to send.
+    /// [`Network::step`] would record, stat for stat: the queue
+    /// high-water `m` (the root enqueues everything up front), every
+    /// per-round transfer count, the first-reach peak round, the optional
+    /// history, and one message event per delivery. A no-op when `m == 0`
+    /// or `links` is empty, matching an engine run with nothing to send.
     pub(crate) fn charge_pipelined_downcast(&mut self, links: &[(u32, u32)], m: u64, w: u64) {
         debug_assert_eq!(self.round, 0, "downcast runs on a fresh network");
         if m == 0 || links.is_empty() {
@@ -824,17 +777,12 @@ impl<M> Network<M> {
         let w = w.max(1);
         let height = links.iter().map(|&(_, d)| d).max().expect("nonempty") as u64;
         debug_assert!(links.windows(2).all(|p| p[0].1 <= p[1].1), "BFS order");
-        // Per-link totals and queue high-waters, plus nodes-per-depth for
-        // the per-round transfer counts below.
+        // Per-link totals, plus nodes-per-depth for the per-round
+        // transfer counts below.
         let mut cnt = vec![0u64; height as usize + 1];
         for &(l, d) in links {
-            let l = l as usize;
             cnt[d as usize] += 1;
-            self.stats.per_link_words[l] += m * w;
-            let peak = if d == 1 { m } else { 1 };
-            if self.stats.per_link_queue_high[l] < peak {
-                self.stats.per_link_queue_high[l] = peak;
-            }
+            self.stats.per_link_words[l as usize] += m * w;
         }
         if self.stats.queue_high_water < m {
             self.stats.queue_high_water = m;
@@ -852,16 +800,7 @@ impl<M> Network<M> {
             let d_min = (r.div_ceil(w).saturating_sub(m - 1)).max(1) as usize;
             let transferred = prefix[d_max] - prefix[d_min - 1];
             debug_assert!(transferred > 0, "the pipeline never idles mid-stream");
-            self.stats.active_rounds += 1;
-            self.stats.round_histogram[hist_bucket(transferred)] += 1;
-            if transferred > self.stats.max_words_in_round {
-                self.stats.max_words_in_round = transferred;
-                self.stats.peak_round = r;
-            }
-            if self.history {
-                self.stats.words_per_round.push((r, transferred));
-            }
-            self.stats.words += transferred;
+            self.charge_rounds(r, 1, transferred);
         }
         self.round = total_rounds;
         self.stats.messages += m * links.len() as u64;
@@ -1138,6 +1077,7 @@ mod tests {
     #[test]
     fn bulk_step_skips_rounds_inside_long_messages() {
         let mut net: Network<u32> = Network::new(&path3());
+        net.enable_history();
         net.send(0, 1, 7, 100).unwrap();
         let mut calls = 0;
         let mut out = RoundOutput::default();
@@ -1149,7 +1089,10 @@ mod tests {
         assert_eq!(net.round(), 100);
         assert_eq!(net.stats().words, 100);
         assert_eq!(net.stats().active_rounds, 100);
-        assert_eq!(net.stats().round_histogram[hist_bucket(1)], 100);
+        assert_eq!(net.stats().max_words_in_round, 1);
+        assert_eq!(net.stats().peak_round, 1);
+        let history: Vec<(u64, u64)> = (1..=100).map(|r| (r, 1)).collect();
+        assert_eq!(net.stats().words_per_round, history);
     }
 
     #[test]

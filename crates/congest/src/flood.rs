@@ -23,7 +23,7 @@
 //!   over a hop of stretch `ℓ + 1` is parked `ℓ` rounds ahead in a
 //!   [`CalendarRing`].
 //!   Links are charged at send time (`Network::charge_flood_link`: the
-//!   link's word and its depth-1 queue high-water), and each round is
+//!   link's word), and each round is
 //!   closed in one `Network::charge_flood_round` call (the round's
 //!   transfer count; the zero-latency sends, then this round's calendar
 //!   expiries, as the arrivals). Every send is charged in the round it is

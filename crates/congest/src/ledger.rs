@@ -7,13 +7,16 @@
 //! an end-to-end algorithm reports one total, with a per-phase breakdown
 //! for the benchmark tables.
 
-use crate::engine::Network;
-use crate::profile::CongestionProfile;
+use crate::engine::{NetStats, Network};
 use crate::shard::ShardProfile;
 use mwc_graph::NodeId;
 use std::fmt;
 
-/// One accounted phase of a distributed algorithm.
+/// How many hot links [`Ledger::congestion_summary`] reports.
+const SUMMARY_HOT_LINKS: usize = 3;
+
+/// One accounted phase of a distributed algorithm: a label and the cost
+/// of the network it ran on (zero for a [`Ledger::note`]).
 #[derive(Clone, Debug)]
 pub struct Phase {
     /// Human-readable phase name (e.g. `"h-hop BFS from S"`).
@@ -22,27 +25,41 @@ pub struct Phase {
     pub rounds: u64,
     /// Words it moved.
     pub words: u64,
-    /// How the phase's traffic was shaped (peak load, backpressure, hot
-    /// links); empty-default for synthetic phases that never ran a network.
-    pub profile: CongestionProfile,
-    /// How the phase's per-link load folds over the canonical
-    /// [`PROFILE_SHARDS`](crate::PROFILE_SHARDS)-way partition;
-    /// empty-default for synthetic phases.
-    pub shard: ShardProfile,
 }
 
-impl Phase {
-    /// A phase with the given totals and empty congestion/shard profiles
-    /// — for synthetic entries (e.g. accounting markers) not backed by a
-    /// simulated network.
-    pub fn synthetic(label: impl Into<String>, rounds: u64, words: u64) -> Phase {
-        Phase {
-            label: label.into(),
-            rounds,
-            words,
-            profile: CongestionProfile::default(),
-            shard: ShardProfile::default(),
+/// The four whole-run congestion scalars [`Ledger::congestion_summary`]
+/// reports, folded at every [`Ledger::absorb`] and [`Ledger::merge`].
+#[derive(Clone, Copy, Debug, Default)]
+struct Congestion {
+    active_rounds: u64,
+    max_words_in_round: u64,
+    /// Global round (phase offsets applied) at which the peak was first
+    /// reached.
+    peak_round: u64,
+    queue_high_water: u64,
+}
+
+impl Congestion {
+    fn of(stats: &NetStats) -> Congestion {
+        Congestion {
+            active_rounds: stats.active_rounds,
+            max_words_in_round: stats.max_words_in_round,
+            peak_round: stats.peak_round,
+            queue_high_water: stats.queue_high_water,
         }
+    }
+
+    /// Folds in the congestion of rounds that ran after the first
+    /// `offset` rounds. Active rounds add up and queue peaks take the max
+    /// (each phase runs its own network, so depths never stack); the
+    /// strict `>` keeps the earliest peak on ties.
+    fn fold(&mut self, offset: u64, later: Congestion) {
+        self.active_rounds += later.active_rounds;
+        if later.max_words_in_round > self.max_words_in_round {
+            self.max_words_in_round = later.max_words_in_round;
+            self.peak_round = offset + later.peak_round;
+        }
+        self.queue_high_water = self.queue_high_water.max(later.queue_high_water);
     }
 }
 
@@ -82,10 +99,7 @@ pub struct Ledger {
     pub phases: Vec<Phase>,
     link_ends: Vec<(NodeId, NodeId)>,
     per_link_words: Vec<u64>,
-    /// Elementwise max of each phase's per-link queue high-water — depth
-    /// peaks don't stack across phases (each phase runs its own network),
-    /// so the worst any phase saw is the worst overall.
-    per_link_queue_high: Vec<u64>,
+    congestion: Congestion,
     /// Concatenated congestion timeline: `(global round, words)` across all
     /// absorbed phases, with each phase's rounds offset so the timeline is
     /// monotone. Only populated for phases whose network had
@@ -130,41 +144,16 @@ impl Ledger {
             label: label.to_owned(),
             rounds: net.round(),
             words: stats.words,
-            profile: CongestionProfile::capture(net),
-            shard: ShardProfile::capture(
-                net.link_ends(),
-                &stats.per_link_words,
-                &stats.per_link_queue_high,
-            ),
         });
+        self.congestion.fold(offset, Congestion::of(stats));
         self.words_per_round
             .extend(stats.words_per_round.iter().map(|&(r, w)| (offset + r, w)));
-        if self.link_ends.is_empty() {
-            self.link_ends = net.link_ends().to_vec();
-            self.per_link_words = stats.per_link_words.clone();
-            self.per_link_queue_high = stats.per_link_queue_high.clone();
-        } else {
-            assert_eq!(
-                self.link_ends.len(),
-                net.link_ends().len(),
-                "ledger phases must share one topology"
-            );
-            for (acc, w) in self.per_link_words.iter_mut().zip(&stats.per_link_words) {
-                *acc += w;
-            }
-            for (acc, q) in self
-                .per_link_queue_high
-                .iter_mut()
-                .zip(&stats.per_link_queue_high)
-            {
-                *acc = (*acc).max(*q);
-            }
-        }
+        self.add_link_words(net.link_ends(), &stats.per_link_words);
     }
 
     /// Merges another ledger (e.g. a subroutine's) into this one. The
     /// other's phases are treated as running after this ledger's (their
-    /// congestion timeline shifts by this ledger's rounds).
+    /// congestion timeline and peak round shift by this ledger's rounds).
     pub fn merge(&mut self, other: &Ledger) {
         let offset = self.rounds;
         self.rounds += other.rounds;
@@ -172,42 +161,52 @@ impl Ledger {
         self.messages += other.messages;
         self.rounds_saved += other.rounds_saved;
         self.phases.extend(other.phases.iter().cloned());
+        self.congestion.fold(offset, other.congestion);
         self.words_per_round
             .extend(other.words_per_round.iter().map(|&(r, w)| (offset + r, w)));
+        self.add_link_words(&other.link_ends, &other.per_link_words);
+    }
+
+    /// Adds per-link words over `link_ends`; the first non-empty table
+    /// fixes the ledger's topology.
+    fn add_link_words(&mut self, link_ends: &[(NodeId, NodeId)], per_link_words: &[u64]) {
         if self.link_ends.is_empty() {
-            self.link_ends = other.link_ends.clone();
-            self.per_link_words = other.per_link_words.clone();
-            self.per_link_queue_high = other.per_link_queue_high.clone();
-        } else if !other.link_ends.is_empty() {
-            assert_eq!(self.link_ends.len(), other.link_ends.len());
-            for (acc, w) in self.per_link_words.iter_mut().zip(&other.per_link_words) {
+            self.link_ends = link_ends.to_vec();
+            self.per_link_words = per_link_words.to_vec();
+        } else if !link_ends.is_empty() {
+            assert_eq!(
+                self.link_ends.len(),
+                link_ends.len(),
+                "ledger phases must share one topology"
+            );
+            for (acc, w) in self.per_link_words.iter_mut().zip(per_link_words) {
                 *acc += w;
-            }
-            for (acc, q) in self
-                .per_link_queue_high
-                .iter_mut()
-                .zip(&other.per_link_queue_high)
-            {
-                *acc = (*acc).max(*q);
             }
         }
     }
 
+    /// Appends a zero-cost phase that only carries `label` — an
+    /// information line in the per-phase breakdown (a cache hit, a set
+    /// size) with no network behind it.
+    pub fn note(&mut self, label: impl Into<String>) {
+        self.phases.push(Phase {
+            label: label.into(),
+            rounds: 0,
+            words: 0,
+        });
+    }
+
     /// Records a phase-cache hit: a structure that would have cost
-    /// `saved_rounds` was replayed instead of rebuilt. Pushes
-    /// a zero-cost synthetic phase labeled `cached: <what> (saved N
-    /// rounds)` so the reuse is visible in per-phase breakdowns, bumps
+    /// `saved_rounds` was replayed instead of rebuilt. Adds a
+    /// [`Ledger::note`] labeled `cached: <what> (saved N rounds)` so the
+    /// reuse is visible in per-phase breakdowns, bumps
     /// [`Ledger::rounds_saved`], and attributes the saving to the open
     /// trace span. Totals (`rounds`/`words`/`messages`) are untouched — a
     /// real CONGEST execution pays for the structure exactly once.
     pub fn credit_cached(&mut self, what: &str, saved_rounds: u64) {
         self.rounds_saved += saved_rounds;
         mwc_trace::add_saved(saved_rounds);
-        self.phases.push(Phase::synthetic(
-            format!("cached: {what} (saved {saved_rounds} rounds)"),
-            0,
-            0,
-        ));
+        self.note(format!("cached: {what} (saved {saved_rounds} rounds)"));
     }
 
     /// The concatenated `(global round, words)` congestion timeline across
@@ -220,45 +219,27 @@ impl Ledger {
     /// The `k` most-loaded directed links across all absorbed phases, as
     /// `((from, to), words)` heaviest first. The order is a total order —
     /// load descending, then `(from, to)` ascending — so manifests and
-    /// diffs can never flake on ties (see [`crate::top_links`]).
+    /// diffs can never flake on ties.
     pub fn hot_links(&self, k: usize) -> Vec<((NodeId, NodeId), u64)> {
-        crate::profile::top_links(&self.link_ends, &self.per_link_words, k)
+        top_links(&self.link_ends, &self.per_link_words, k)
     }
 
-    /// The whole-run [`ShardProfile`]: the accumulated per-link counters
-    /// (words summed, queue highs maxed across phases) folded over the
-    /// canonical [`PROFILE_SHARDS`](crate::PROFILE_SHARDS)-way partition.
+    /// The whole-run [`ShardProfile`]: the accumulated per-link words
+    /// folded over the canonical
+    /// [`PROFILE_SHARDS`](crate::PROFILE_SHARDS)-way partition.
     /// Deterministic for any execution shard count.
     pub fn shard_profile(&self) -> ShardProfile {
-        ShardProfile::capture(
-            &self.link_ends,
-            &self.per_link_words,
-            &self.per_link_queue_high,
-        )
+        ShardProfile::capture(&self.link_ends, &self.per_link_words)
     }
 
     /// Aggregates the ledger into the
     /// [`CongestionSummary`](mwc_trace::CongestionSummary) a
-    /// [`RunRecord`](mwc_trace::RunRecord) carries: totals, the global
-    /// peak round (phase offsets applied, earliest peak wins ties), queue
-    /// high-water, the top [`crate::PROFILE_HOT_LINKS`] hot links, and
-    /// the canonical per-shard word loads with their derived imbalance
-    /// ratio.
+    /// [`RunRecord`](mwc_trace::RunRecord) carries: totals, the four
+    /// congestion scalars folded at absorb/merge time (active rounds, peak
+    /// load, the global round it was first reached at, queue high-water),
+    /// the top three hot links, and the canonical per-shard word loads
+    /// with their derived imbalance ratio.
     pub fn congestion_summary(&self, label: &str) -> mwc_trace::CongestionSummary {
-        let mut active_rounds = 0;
-        let mut max_words_in_round = 0;
-        let mut peak_round = 0;
-        let mut queue_high_water = 0;
-        let mut offset = 0;
-        for p in &self.phases {
-            active_rounds += p.profile.active_rounds;
-            if p.profile.max_words_in_round > max_words_in_round {
-                max_words_in_round = p.profile.max_words_in_round;
-                peak_round = offset + p.profile.peak_round;
-            }
-            queue_high_water = queue_high_water.max(p.profile.queue_high_water);
-            offset += p.rounds;
-        }
         let shard = self.shard_profile();
         mwc_trace::CongestionSummary {
             label: label.to_owned(),
@@ -266,12 +247,12 @@ impl Ledger {
             words: self.words,
             messages: self.messages,
             rounds_saved: self.rounds_saved,
-            active_rounds,
-            max_words_in_round,
-            peak_round,
-            queue_high_water,
+            active_rounds: self.congestion.active_rounds,
+            max_words_in_round: self.congestion.max_words_in_round,
+            peak_round: self.congestion.peak_round,
+            queue_high_water: self.congestion.queue_high_water,
             hot_links: self
-                .hot_links(crate::PROFILE_HOT_LINKS)
+                .hot_links(SUMMARY_HOT_LINKS)
                 .into_iter()
                 .map(|((f, t), w)| (f as u64, t as u64, w))
                 .collect(),
@@ -291,6 +272,27 @@ impl Ledger {
             .map(|(_, w)| *w)
             .sum()
     }
+}
+
+/// The `k` heaviest `(link, words)` pairs from a per-link load table.
+///
+/// The order is a *total* order — load descending, then `(from, to)`
+/// ascending — never table or insertion order, so every hot-link report
+/// is deterministic even on ties.
+fn top_links(
+    link_ends: &[(NodeId, NodeId)],
+    per_link_words: &[u64],
+    k: usize,
+) -> Vec<((NodeId, NodeId), u64)> {
+    let mut loaded: Vec<((NodeId, NodeId), u64)> = link_ends
+        .iter()
+        .copied()
+        .zip(per_link_words.iter().copied())
+        .filter(|&(_, w)| w > 0)
+        .collect();
+    loaded.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    loaded.truncate(k);
+    loaded
 }
 
 impl fmt::Display for Ledger {
@@ -483,11 +485,9 @@ mod tests {
         ledger.absorb("shallow", &net);
         let p = ledger.shard_profile();
         assert_eq!(p.words.iter().sum::<u64>(), 4);
-        // Queue highs take the max across phases, not the sum.
-        assert_eq!(p.queue_high.iter().max(), Some(&2));
-        assert_eq!(ledger.phases[0].shard.queue_high.iter().max(), Some(&2));
-        assert_eq!(ledger.phases[1].shard.queue_high.iter().max(), Some(&1));
         let s = ledger.congestion_summary("all");
+        // Queue highs take the max across phases, not the sum.
+        assert_eq!(s.queue_high_water, 2);
         assert_eq!(s.shard_words.iter().sum::<u64>(), 4);
         assert_eq!(s.shard_imbalance_milli, p.imbalance_milli());
     }
@@ -506,5 +506,81 @@ mod tests {
         assert_eq!(a.rounds, 2);
         assert_eq!(a.phases.len(), 2);
         assert_eq!(a.words_across(&[true, false]), 2);
+    }
+
+    /// A network over `g` that idles `delay` rounds, then runs `sends`
+    /// (`(from, to, words)`, all queued up front) to idle.
+    fn ran(g: &Graph, delay: u64, sends: &[(NodeId, NodeId, u64)]) -> Network<u8> {
+        let mut net: Network<u8> = Network::new(g);
+        if delay > 0 {
+            net.schedule_wakeup(delay, 0);
+            run_to_idle(&mut net);
+        }
+        for &(u, v, w) in sends {
+            net.send(u, v, 0, w).unwrap();
+        }
+        run_to_idle(&mut net);
+        net
+    }
+
+    /// The summaries of absorbing `nets` into one ledger, and of every
+    /// split into a prefix ledger merged with a suffix ledger.
+    fn seam_summaries(nets: &[Network<u8>]) -> Vec<mwc_trace::CongestionSummary> {
+        (0..=nets.len())
+            .map(|k| {
+                let (mut a, mut b) = (Ledger::new(), Ledger::new());
+                nets[..k].iter().for_each(|n| a.absorb("a", n));
+                nets[k..].iter().for_each(|n| b.absorb("b", n));
+                a.merge(&b);
+                a.congestion_summary("x")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merge_seam_folds_like_one_ledger() {
+        let g = Graph::from_edges(3, Orientation::Undirected, [(0, 1, 1), (1, 2, 1)]).unwrap();
+        // A 2-word peak at round 1, tied by the next network across the
+        // seam, then three 1-word rounds behind a queue of depth 3.
+        let nets = [
+            ran(&g, 0, &[(0, 1, 1), (1, 2, 1)]),
+            ran(&g, 0, &[(0, 1, 1), (2, 1, 1)]),
+            ran(&g, 0, &[(1, 2, 1), (1, 2, 1), (1, 2, 1)]),
+        ];
+        let all = seam_summaries(&nets);
+        assert!(all.iter().all(|s| *s == all[0]), "every seam agrees");
+        let s = &all[0];
+        assert_eq!((s.rounds, s.active_rounds), (5, 5));
+        assert_eq!((s.max_words_in_round, s.peak_round), (2, 1));
+        assert_eq!(s.queue_high_water, 3);
+        // A later, strictly higher peak (3 words at local round 2) lands
+        // at its offset global round.
+        let nets = [
+            ran(&g, 0, &[(0, 1, 1), (1, 2, 1)]),
+            ran(&g, 1, &[(0, 1, 1), (1, 0, 1), (1, 2, 1)]),
+        ];
+        let all = seam_summaries(&nets);
+        assert!(all.iter().all(|s| *s == all[0]), "every seam agrees");
+        assert_eq!((all[0].max_words_in_round, all[0].peak_round), (3, 1 + 2));
+    }
+
+    #[test]
+    fn top_links_is_deterministic_on_ties() {
+        let ends = [(0, 1), (1, 0), (1, 2)];
+        let words = [5, 5, 1];
+        let top = top_links(&ends, &words, 2);
+        assert_eq!(top, vec![((0, 1), 5), ((1, 0), 5)]);
+        assert!(top_links(&ends, &[0, 0, 0], 2).is_empty());
+    }
+
+    #[test]
+    fn top_links_ties_break_by_link_id_even_when_table_is_shuffled() {
+        // The tie-break is on the (from, to) pair itself, not on the
+        // position in the link table: a reordered table must produce the
+        // identical report.
+        let ends = [(2, 0), (0, 1), (1, 0)];
+        let words = [5, 5, 5];
+        let top = top_links(&ends, &words, 3);
+        assert_eq!(top, vec![((0, 1), 5), ((1, 0), 5), ((2, 0), 5)]);
     }
 }

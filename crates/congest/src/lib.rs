@@ -49,7 +49,6 @@ pub mod events;
 mod flood;
 mod ledger;
 mod multibfs;
-mod profile;
 pub mod program;
 pub mod replay;
 mod shard;
@@ -59,7 +58,7 @@ pub use cache::{
     cache_disabled, graph_fingerprint, CacheDisableGuard, CacheScope, CacheStats, PhaseCache,
 };
 pub use distmat::{DistMatrix, INF};
-pub use engine::{hist_bucket, Delivery, NetStats, Network, RoundOutput, SendError, HIST_BUCKETS};
+pub use engine::{Delivery, NetStats, Network, RoundOutput, SendError};
 pub use events::EventCapture;
 pub use flood::{
     flood_engagement, flood_kernel, set_flood_kernel, CalendarRing, FloodHop, FloodKernel,
@@ -67,7 +66,6 @@ pub use flood::{
 };
 pub use ledger::{Ledger, Phase};
 pub use multibfs::{multi_source_bfs, source_detection, Detection, DetectionLists, MultiBfsSpec};
-pub use profile::{top_links, CongestionProfile, PROFILE_HOT_LINKS};
 pub use replay::{first_divergence, Divergence, EventLog, MsgEvent, PhaseEvent};
 pub use shard::{ShardPlan, ShardProfile, PROFILE_SHARDS};
 pub use tree::{broadcast, convergecast, convergecast_min, BfsTree};

@@ -165,34 +165,24 @@ impl ShardPlan {
 /// count, including unsharded runs.
 pub const PROFILE_SHARDS: usize = 8;
 
-/// Deterministic per-shard load profile over the canonical
-/// [`PROFILE_SHARDS`]-way reference partition: how many links carried
-/// traffic, how many words each shard's links moved, and the deepest
-/// send queue each shard saw. Captured per phase by
-/// [`Ledger::absorb`](crate::Ledger::absorb) alongside the
-/// [`CongestionProfile`](crate::CongestionProfile), and across a whole
-/// run by [`Ledger::congestion_summary`](crate::Ledger::congestion_summary).
+/// Deterministic per-shard word loads over the canonical
+/// [`PROFILE_SHARDS`]-way reference partition: how many words each
+/// shard's links moved across a whole run, captured by
+/// [`Ledger::shard_profile`](crate::Ledger::shard_profile) and reported by
+/// [`Ledger::congestion_summary`](crate::Ledger::congestion_summary).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardProfile {
-    /// Links that moved at least one word, per canonical shard.
-    pub links: Vec<u64>,
     /// Words moved, per canonical shard.
     pub words: Vec<u64>,
-    /// Deepest send-queue depth, per canonical shard.
-    pub queue_high: Vec<u64>,
 }
 
 impl ShardProfile {
-    /// Folds the engine's deterministic per-link counters over the
+    /// Folds the engine's deterministic per-link word counters over the
     /// canonical reference partition. `link_ends` is the engine's
     /// `(from, to)` table (link ids grouped by sender in ascending node
-    /// order — the same layout [`ShardPlan`] cuts), `per_link_words` and
-    /// `per_link_queue_high` are parallel to it.
-    pub fn capture(
-        link_ends: &[(NodeId, NodeId)],
-        per_link_words: &[u64],
-        per_link_queue_high: &[u64],
-    ) -> ShardProfile {
+    /// order — the same layout [`ShardPlan`] cuts), and `per_link_words`
+    /// is parallel to it.
+    pub fn capture(link_ends: &[(NodeId, NodeId)], per_link_words: &[u64]) -> ShardProfile {
         if link_ends.is_empty() {
             return ShardProfile::default();
         }
@@ -202,24 +192,14 @@ impl ShardProfile {
             out_degrees[u] += 1;
         }
         let plan = ShardPlan::new(&out_degrees, PROFILE_SHARDS);
-        let k = plan.shards();
-        let mut profile = ShardProfile {
-            links: vec![0; k],
-            words: vec![0; k],
-            queue_high: vec![0; k],
-        };
-        for s in 0..k {
-            for l in plan.link_range(s) {
-                let w = per_link_words.get(l).copied().unwrap_or(0);
-                if w > 0 {
-                    profile.links[s] += 1;
-                }
-                profile.words[s] += w;
-                let q = per_link_queue_high.get(l).copied().unwrap_or(0);
-                profile.queue_high[s] = profile.queue_high[s].max(q);
-            }
-        }
-        profile
+        let words = (0..plan.shards())
+            .map(|s| {
+                plan.link_range(s)
+                    .map(|l| per_link_words.get(l).copied().unwrap_or(0))
+                    .sum()
+            })
+            .collect();
+        ShardProfile { words }
     }
 
     /// The imbalance ratio max/mean of per-shard words, in integer
@@ -519,43 +499,29 @@ mod tests {
     }
 
     #[test]
-    fn shard_profile_folds_links_words_and_queue_highs() {
+    fn shard_profile_folds_words_per_canonical_shard() {
         // 4 nodes, degrees [2, 1, 1, 1] → 5 links; the canonical plan
         // clamps PROFILE_SHARDS to the node count (4 shards).
         let link_ends: Vec<(NodeId, NodeId)> = vec![(0, 1), (0, 2), (1, 0), (2, 0), (3, 0)];
         let words = [5u64, 0, 3, 2, 0];
-        let queue_high = [2u64, 1, 4, 0, 0];
-        let p = ShardProfile::capture(&link_ends, &words, &queue_high);
-        assert_eq!(p.words.iter().sum::<u64>(), 10);
-        assert_eq!(p.links.iter().sum::<u64>(), 3);
-        assert_eq!(p.queue_high.iter().max(), Some(&4));
-        // Node 0 owns links 0..2: 5 words, 1 busy link, queue high 2.
-        assert_eq!(p.words[0], 5);
-        assert_eq!(p.links[0], 1);
-        assert_eq!(p.queue_high[0], 2);
+        let p = ShardProfile::capture(&link_ends, &words);
+        // Node 0 owns links 0..2: 5 words.
+        assert_eq!(p.words, vec![5, 3, 2, 0]);
     }
 
     #[test]
     fn shard_profile_imbalance_is_max_over_mean_in_milli() {
-        let p = ShardProfile {
-            links: vec![1, 1],
-            words: vec![6, 2],
-            queue_high: vec![0, 0],
-        };
+        let p = ShardProfile { words: vec![6, 2] };
         // mean = 4, max = 6 → 1500 milli.
         assert_eq!(p.imbalance_milli(), 1500);
-        let balanced = ShardProfile {
-            links: vec![1, 1],
-            words: vec![4, 4],
-            queue_high: vec![0, 0],
-        };
+        let balanced = ShardProfile { words: vec![4, 4] };
         assert_eq!(balanced.imbalance_milli(), 1000);
         assert_eq!(ShardProfile::default().imbalance_milli(), 0);
     }
 
     #[test]
     fn shard_profile_of_empty_network_is_empty() {
-        let p = ShardProfile::capture(&[], &[], &[]);
+        let p = ShardProfile::capture(&[], &[]);
         assert_eq!(p, ShardProfile::default());
     }
 

@@ -14,7 +14,7 @@
 //!   totals,
 //! - the [`DistMatrix`] digest and the full detection lists,
 //! - the phase-cache `CacheStats` counters and the ledger's canonical
-//!   `ShardProfile` (per-reference-shard links/words/queue highs),
+//!   `ShardProfile` (words per reference shard),
 //! - the `MWC_TRACE_EVENTS` event log, line for line.
 //!
 //! The shard knobs are process globals, so runs take a lock and restore

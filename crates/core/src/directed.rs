@@ -659,11 +659,7 @@ fn short_cycles_restricted_bfs(
     // Line 24: h-hop BFS from the phase-overflow set Z. Record |Z| in the
     // ledger (zero-cost info line) for the scheduling ablation.
     let z: Vec<NodeId> = (0..n).filter(|&v| overflow[v]).collect();
-    ledger.phases.push(mwc_congest::Phase::synthetic(
-        format!("Alg3: |Z| = {} phase-overflow vertices", z.len()),
-        0,
-        0,
-    ));
+    ledger.note(format!("Alg3: |Z| = {} phase-overflow vertices", z.len()));
     if !z.is_empty() {
         let latency_vec: Option<&[Weight]> = match mode {
             Mode::Unweighted => None,
